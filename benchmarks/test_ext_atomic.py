@@ -17,7 +17,7 @@ from repro.mesh.suite import small_mesh_suite
 
 from conftest import save_and_print
 
-ATOMIC = EclOptions(atomic_phase2=True)
+ATOMIC = EclOptions(engine="atomic")
 
 
 def _workloads():

@@ -5,7 +5,7 @@ iteration count at the cost of doubling signature memory).  We implement
 it and measure the trade-off the authors declined to ship.
 """
 
-from repro.bench import render_table, run_algorithm
+from repro.bench import render_table
 from repro.core import ecl_scc, minmax_scc
 from repro.device import A100
 from repro.graph.suite import powerlaw_suite

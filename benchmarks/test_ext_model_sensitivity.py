@@ -17,7 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.bench import render_table, run_algorithm
+from repro import solve
+from repro.bench import render_table
 from repro.device import A100, CostModel, KernelCounters
 from repro.device.costmodel import working_set_of_graph
 from repro.graph.suite import powerlaw_suite
@@ -46,7 +47,7 @@ def test_model_sensitivity(benchmark, results_dir):
         runs = {}
         for g, tag in ((mesh_g, "mesh"), (pl_g, "power-law")):
             for algo in ("ecl-scc", "gpu-scc"):
-                runs[(tag, algo)] = run_algorithm(g, algo, A100)
+                runs[(tag, algo)] = solve(g, algo, device=A100)
         for lat in LATENCIES_US:
             for bwx in BANDWIDTH_X:
                 spec = replace(A100, launch_us=lat, mem_bw_gbs=A100.mem_bw_gbs * bwx)

@@ -7,7 +7,8 @@ on its natural device model.  Not a paper table — a map of where ECL-SCC
 sits in the whole design space.
 """
 
-from repro.bench import format_seconds, render_table, run_algorithm
+from repro import solve
+from repro.bench import format_seconds, render_table
 from repro.device import A100, XEON_6226R
 from repro.graph.suite import powerlaw_suite
 from repro.mesh.suite import small_mesh_suite
@@ -27,11 +28,11 @@ def test_algorithm_shootout(benchmark, results_dir):
     def run():
         for g in (mesh_g, pl_g):
             for algo in GPU_ALGOS:
-                r = run_algorithm(g, algo, A100, verify=True)
+                r = solve(g, algo, device=A100, verify=True)
                 rows.append([g.name, algo, "A100", format_seconds(r.model_seconds),
                              round(r.model_throughput_mvs, 2)])
             for algo in CPU_ALGOS:
-                r = run_algorithm(g, algo, XEON_6226R, verify=algo != "tarjan")
+                r = solve(g, algo, device=XEON_6226R, verify=algo != "tarjan")
                 rows.append([g.name, algo, "Xeon", format_seconds(r.model_seconds),
                              round(r.model_throughput_mvs, 2)])
         return rows

@@ -6,7 +6,8 @@ Known anchor: GPU-SCC on beam-hex at 262,144 vertices — paper throughput
 58 Mv/s (0.0045 s on the A100), our model ~65 Mv/s.
 """
 
-from repro.bench import render_table, run_algorithm
+from repro import solve
+from repro.bench import render_table
 from repro.device import A100, XEON_6226R
 from repro.mesh.suite import SMALL_MESH_SPECS, build_group
 
@@ -25,7 +26,7 @@ def test_fullscale_small_meshes(benchmark, results_dir):
             for algo, dev in (
                 ("ecl-scc", A100), ("gpu-scc", A100), ("ispan", XEON_6226R)
             ):
-                r = run_algorithm(g, algo, dev, verify=algo == "ecl-scc")
+                r = solve(g, algo, device=dev, verify=algo == "ecl-scc")
                 cells[algo] = r
                 rows.append(
                     [name, g.num_vertices, algo, dev.name,

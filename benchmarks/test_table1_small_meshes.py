@@ -31,5 +31,5 @@ def test_table1_small_mesh_properties(benchmark, results_dir, small_meshes):
 def test_scc_stats_kernel(benchmark, small_meshes):
     """pytest-benchmark target: the statistics kernel on one mesh graph."""
     g = small_meshes[0].graphs[0]
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     benchmark(lambda: scc_statistics(g, labels, with_depth=False))

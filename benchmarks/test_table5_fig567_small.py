@@ -10,7 +10,8 @@ the Ryzen / Xeon models.  The paper's qualitative claims checked here:
   iSpan on either CPU model (paper: ~4400x geomean).
 """
 
-from repro.bench import geometric_mean, run_algorithm, runtime_table, throughput_figures
+from repro import solve
+from repro.bench import geometric_mean, runtime_table, throughput_figures
 from repro.device import A100
 
 from conftest import save_and_print
@@ -43,4 +44,4 @@ def test_table5_and_figs567(benchmark, results_dir, small_meshes):
 def test_ecl_kernel_small_mesh(benchmark, small_meshes):
     """pytest-benchmark target: one full ECL-SCC run (wall time)."""
     g = next(grp for grp in small_meshes if grp.name == "toroid-hex").graphs[0]
-    benchmark(lambda: run_algorithm(g, "ecl-scc", A100))
+    benchmark(lambda: solve(g, "ecl-scc", device=A100))

@@ -7,7 +7,8 @@ one giant SCC (klein-bottle, twist-hex) and collapses on the rest
 (Fig 10).
 """
 
-from repro.bench import run_algorithm, runtime_table, throughput_figures
+from repro import solve
+from repro.bench import runtime_table, throughput_figures
 from repro.device import A100
 
 from conftest import save_and_print
@@ -42,4 +43,4 @@ def test_table6_and_figs8910(benchmark, results_dir, large_meshes):
 
 def test_ecl_kernel_large_mesh(benchmark, large_meshes):
     g = next(grp for grp in large_meshes if grp.name == "torch-hex").graphs[0]
-    benchmark(lambda: run_algorithm(g, "ecl-scc", A100))
+    benchmark(lambda: solve(g, "ecl-scc", device=A100))

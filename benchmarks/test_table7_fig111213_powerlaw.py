@@ -8,7 +8,8 @@ assertion is deliberately two-sided: ECL-SCC must NOT dominate here the
 way it does on meshes.
 """
 
-from repro.bench import run_algorithm, runtime_table, throughput_figures
+from repro import solve
+from repro.bench import runtime_table, throughput_figures
 from repro.device import A100
 
 from conftest import save_and_print
@@ -40,4 +41,4 @@ def test_table7_and_figs111213(benchmark, results_dir, powerlaw_graphs):
 
 def test_ecl_kernel_powerlaw(benchmark, powerlaw_graphs):
     g = next(g for g, _ in powerlaw_graphs if g.name == "flickr")
-    benchmark(lambda: run_algorithm(g, "ecl-scc", A100))
+    benchmark(lambda: solve(g, "ecl-scc", device=A100))

@@ -12,8 +12,7 @@ Run:  python examples/powerlaw_webgraph.py
 
 import numpy as np
 
-from repro import ecl_scc
-from repro.bench import run_algorithm
+from repro import ecl_scc, solve
 from repro.device import A100, XEON_6226R
 from repro.graph import bfs_reach, build_powerlaw
 
@@ -48,7 +47,7 @@ def main() -> None:
             f" {result.outer_iterations} iterations"
         )
         for algo, spec in (("gpu-scc", A100), ("ispan", XEON_6226R)):
-            r = run_algorithm(graph, algo, spec)
+            r = solve(graph, algo, device=spec)
             print(
                 f"    {algo:8s} ({spec.name} model): {r.model_seconds * 1e3:.3f} ms"
             )

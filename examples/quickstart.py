@@ -34,7 +34,7 @@ def main() -> None:
 
     # every vertex's label is the max vertex ID in its SCC
     verify_labels(g, result.labels)  # checks against Tarjan (paper §4)
-    assert np.array_equal(result.labels, tarjan_scc(g))
+    assert np.array_equal(result.labels, tarjan_scc(g).labels)
     print("verified against Tarjan's algorithm")
 
     # compare the virtual devices

@@ -41,15 +41,16 @@ def partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def verify_labels(graph: CSRGraph, labels: np.ndarray, *, oracle=None) -> None:
     """Raise :class:`VerificationError` unless *labels* match the oracle.
 
-    The default oracle is Tarjan's algorithm, per the paper's methodology.
+    The default oracle is Tarjan's algorithm, per the paper's methodology;
+    an *oracle* is any callable returning an
+    :class:`~repro.results.AlgoResult` for *graph*.
     """
     labels = np.asarray(labels)
     if labels.size != graph.num_vertices:
         raise VerificationError(
             f"labels has {labels.size} entries for {graph.num_vertices} vertices"
         )
-    # oracles return AlgoResult; coerce to the bare label array
-    truth = np.asarray((oracle or tarjan_scc)(graph))
+    truth = (oracle or tarjan_scc)(graph).labels
     if not partitions_equal(labels, truth):
         bad = int(np.count_nonzero(labels != truth))
         raise VerificationError(
@@ -119,7 +120,7 @@ def fixed_point_offenders(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
         class_graph = CSRGraph.from_edges(
             comp[src[inter]], comp[dst[inter]], uniq.size
         )
-        cond = np.asarray(tarjan_scc(class_graph))
+        cond = tarjan_scc(class_graph).labels
         sizes = np.bincount(cond, minlength=uniq.size)
         class_bad |= sizes[cond] > 1
 

@@ -7,25 +7,12 @@
 * :func:`hong_scc` — Hong et al. 2013.
 
 Every entry point returns an :class:`~repro.results.AlgoResult` (labels,
-num_sccs, device, trace) and accepts ``tracer=`` for per-phase spans;
-the legacy bare-array / ``(labels, device)`` tuple behaviors remain
-available through deprecation shims on the result object.
+num_sccs, device, trace) and accepts ``tracer=`` for per-phase spans.
 
 The shared reach/trim/normalize primitives these codes are composed of
-live in :mod:`repro.engine`; they are re-exported here (and via the
-``.reach`` / ``.trim`` shim modules) for backward compatibility.
+live in :mod:`repro.engine`.
 """
 
-from ..engine.primitives import (
-    active_degrees,
-    colored_fb_rounds,
-    frontier_expand,
-    masked_bfs,
-    normalize_labels_to_max,
-    trim1,
-    trim2,
-    trim3,
-)
 from .tarjan import tarjan_scc
 from .kosaraju import kosaraju_scc
 from .fb import fb_scc
@@ -37,16 +24,8 @@ from .coloring import coloring_scc
 from .multistep import multistep_scc
 
 __all__ = [
-    "normalize_labels_to_max",
     "tarjan_scc",
     "kosaraju_scc",
-    "active_degrees",
-    "trim1",
-    "trim2",
-    "trim3",
-    "colored_fb_rounds",
-    "frontier_expand",
-    "masked_bfs",
     "fb_scc",
     "fbtrim_scc",
     "gpu_scc",

@@ -52,8 +52,7 @@ def coloring_scc(
 ) -> AlgoResult:
     """Orzan-style coloring SCC.  Labels use the max-member-ID convention
     like every other code in this library.  Returns an
-    :class:`~repro.results.AlgoResult` (still unpackable as the legacy
-    ``(labels, device)`` tuple)."""
+    :class:`~repro.results.AlgoResult`."""
     if device is None:
         device = VirtualDevice(TITAN_V)
     elif isinstance(device, DeviceSpec):

@@ -49,7 +49,7 @@ def fb_scc(
         labels come out max-normalized for free); ``"first"`` — lowest.
 
     Returns an :class:`~repro.results.AlgoResult` with max-member-ID
-    labels (still unpackable as the legacy ``(labels, device)`` tuple).
+    labels.
     """
     if device is None:
         device = VirtualDevice(RYZEN_2950X)

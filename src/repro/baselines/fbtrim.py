@@ -31,8 +31,7 @@ def fbtrim_scc(
 ) -> AlgoResult:
     """Trim-1 (+ optional Trim-2), then coloring-FB on the remainder.
 
-    Returns an :class:`~repro.results.AlgoResult` (still unpackable as
-    the legacy ``(labels, device)`` tuple)."""
+    Returns an :class:`~repro.results.AlgoResult`."""
     if device is None:
         device = VirtualDevice(RYZEN_2950X)
     elif isinstance(device, DeviceSpec):

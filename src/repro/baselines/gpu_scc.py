@@ -53,7 +53,7 @@ def gpu_scc(
     """Li et al.'s GPU SCC algorithm on the virtual device.
 
     Returns an :class:`~repro.results.AlgoResult` with max-member-ID
-    labels (still unpackable as the legacy ``(labels, device)`` tuple).
+    labels.
     """
     if device is None:
         device = VirtualDevice(TITAN_V)

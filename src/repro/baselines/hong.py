@@ -47,8 +47,7 @@ def hong_scc(
     tracer: "Tracer | None" = None,
 ) -> AlgoResult:
     """Hong et al.'s method on the virtual CPU.  Returns an
-    :class:`~repro.results.AlgoResult` (still unpackable as the legacy
-    ``(labels, device)`` tuple)."""
+    :class:`~repro.results.AlgoResult`."""
     if device is None:
         device = VirtualDevice(XEON_6226R)
     elif isinstance(device, DeviceSpec):

@@ -59,8 +59,7 @@ def ispan_scc(
     tracer: "Tracer | None" = None,
 ) -> AlgoResult:
     """iSpan on the virtual CPU.  Returns an
-    :class:`~repro.results.AlgoResult` (still unpackable as the legacy
-    ``(labels, device)`` tuple)."""
+    :class:`~repro.results.AlgoResult`."""
     if device is None:
         device = VirtualDevice(XEON_6226R)
     elif isinstance(device, DeviceSpec):

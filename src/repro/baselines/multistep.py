@@ -48,8 +48,7 @@ def multistep_scc(
     tracer: "Tracer | None" = None,
 ) -> AlgoResult:
     """Slota et al.'s Multistep method.  Returns an
-    :class:`~repro.results.AlgoResult` (still unpackable as the legacy
-    ``(labels, device)`` tuple)."""
+    :class:`~repro.results.AlgoResult`."""
     if device is None:
         device = VirtualDevice(XEON_6226R)
     elif isinstance(device, DeviceSpec):

@@ -14,8 +14,7 @@ comparable with ``np.array_equal`` — no canonicalization pass needed in
 tests or verification.
 
 Like every ``*_scc`` entry point, :func:`tarjan_scc` returns an
-:class:`~repro.results.AlgoResult`; the result still behaves like the
-bare label array it historically returned (deprecated).
+:class:`~repro.results.AlgoResult`; the labels are ``result.labels``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from .timing import TimedRun, median_time
 from .throughput import geometric_mean, throughput_mvs
-from .runners import ALGORITHM_NAMES, RunResult, run_algorithm
+from .runners import ALGORITHM_NAMES, RunResult
 from .formatting import format_seconds, render_series, render_table
 from .export import export_json, to_jsonable
 from .experiments import (
@@ -23,7 +23,6 @@ __all__ = [
     "throughput_mvs",
     "ALGORITHM_NAMES",
     "RunResult",
-    "run_algorithm",
     "format_seconds",
     "render_series",
     "render_table",

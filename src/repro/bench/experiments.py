@@ -27,7 +27,7 @@ from ..graph.ops import replicate
 from ..graph.suite import powerlaw_suite
 from ..mesh.suite import large_mesh_suite, small_mesh_suite
 from .formatting import format_seconds, render_series, render_table
-from .runners import RunResult, run_algorithm
+from .runners import RunResult
 from .throughput import geometric_mean
 
 __all__ = [
@@ -74,7 +74,7 @@ def mesh_table_properties(kind: str, **suite_kwargs) -> ExperimentResult:
     suite = small_mesh_suite(**suite_kwargs) if kind == "small" else large_mesh_suite(**suite_kwargs)
     rows = []
     for grp in suite:
-        stats = [scc_statistics(g, tarjan_scc(g)) for g in grp.graphs]
+        stats = [scc_statistics(g, tarjan_scc(g).labels) for g in grp.graphs]
         rows.append(
             {
                 "graph": grp.name,
@@ -122,7 +122,7 @@ def powerlaw_table_properties(**suite_kwargs) -> ExperimentResult:
     rows = []
     graphs = []
     for g, planted in powerlaw_suite(**suite_kwargs):
-        s = scc_statistics(g, tarjan_scc(g))
+        s = scc_statistics(g, tarjan_scc(g).labels)
         graphs.append(g)
         rows.append({"graph": g.name, **s.as_row(), "planted": planted})
     headers = [
@@ -160,6 +160,8 @@ def runtime_table(
     runtime across ordinates before computing throughput, exactly like
     the paper (§4); power-law "groups" hold a single graph.
     """
+    from ..solver import solve  # repro.solver imports this package
+
     t0 = time.perf_counter()
     rows = []
     raw_runs: "dict[tuple[str, str], list[RunResult]]" = {}
@@ -167,7 +169,7 @@ def runtime_table(
         row: "dict[str, object]" = {"graph": gname, "vertices": graphs[0].num_vertices}
         for label, algo, spec in columns:
             runs = [
-                run_algorithm(g, algo, spec, verify=verify and algo == "ecl-scc")
+                solve(g, algo, device=spec, verify=verify and algo == "ecl-scc")
                 for g in graphs
             ]
             raw_runs[(gname, label)] = runs
@@ -226,6 +228,8 @@ def ablation_figure(
     device=A100,
 ) -> ExperimentResult:
     """Figure 14: geomean throughput per input class per ECL-SCC variant."""
+    from ..solver import solve  # repro.solver imports this package
+
     t0 = time.perf_counter()
     variants = ablation_variants()
     series: "dict[str, dict[str, float]]" = {v: {} for v in variants}
@@ -233,7 +237,7 @@ def ablation_figure(
     for cname, graphs in classes:
         for vname, opts in variants.items():
             runs = [
-                run_algorithm(g, "ecl-scc", device, options=opts) for g in graphs
+                solve(g, device=device, options=opts) for g in graphs
             ]
             raw[(cname, vname)] = runs
             series[vname][cname] = geometric_mean(

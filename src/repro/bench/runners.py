@@ -1,11 +1,13 @@
-"""Unified algorithm runner for the benchmark harness.
+"""The algorithm runner behind :func:`repro.solve`.
 
-One entry point, :func:`run_algorithm`, runs any of the SCC codes on any
-virtual device, optionally wall-clock timing it with the paper's
-median-of-9 protocol and verifying the labels against Tarjan.  The
-returned :class:`RunResult` carries both the *model* runtime (virtual
-device cost estimate — the number the paper-style tables use) and the
-Python wall time (reported alongside for transparency).
+:func:`run_algorithm` is the implementation of
+:meth:`repro.Solver.solve`; callers use :func:`repro.solve`.  It runs
+any of the SCC codes on any virtual device, optionally wall-clock
+timing it with the paper's median-of-9 protocol and verifying the
+labels against Tarjan.  The returned :class:`RunResult` carries both
+the *model* runtime (virtual device cost estimate — the number the
+paper-style tables use) and the Python wall time (reported alongside
+for transparency).
 
 Every algorithm returns an :class:`~repro.results.AlgoResult`, so the
 dispatch here is a flat registry instead of the old per-algorithm
@@ -15,7 +17,7 @@ unpacking if-chain; pass ``tracer=`` to record the run's phase spans
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from ..analysis.verify import verify_labels
 from ..core.eclscc import ecl_scc
 from ..core.minmax import minmax_scc
-from ..core.options import EclOptions, engine_options
+from ..core.options import ALL_ON, EclOptions
 from ..baselines import (
     coloring_scc,
     fb_scc,
@@ -42,7 +44,7 @@ from ..errors import AlgorithmError
 from ..faults.plan import FaultPlan
 from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
-from ..results import AlgoResult
+from ..results import AlgoResult, Status
 from ..trace import NULL_TRACER, Trace, Tracer, ensure_tracer
 from .timing import TimedRun, median_time
 
@@ -130,7 +132,7 @@ class RunResult:
     counters: "dict[str, int]"
     labels: np.ndarray
     trace: Optional[Trace] = None
-    status: str = "clean"
+    status: Status = Status.CLEAN
     fault_report: Optional[object] = None
     #: the adaptive scheduler's per-round decisions (``ecl-scc`` with
     #: ``engine="adaptive"`` only; None otherwise)
@@ -199,9 +201,8 @@ def run_algorithm(
     the run's engine primitives account against (default: the dense
     backend, which reproduces the historical launch costs; the oracles
     ignore it).  ``engine`` selects ECL-SCC's Phase-2 engine by name —
-    any entry of :data:`~repro.core.options.ENGINE_NAMES`, applied on
-    top of ``options`` via
-    :func:`~repro.core.options.engine_options`; only ``ecl-scc``
+    any entry of :data:`~repro.core.options.ENGINE_NAMES`, set on a copy
+    of ``options`` (default all optimizations on); only ``ecl-scc``
     has multiple Phase-2 engines, so passing it for any other algorithm
     raises :class:`~repro.errors.AlgorithmError`.  The ``adaptive``
     engine's per-round policy decisions are carried on the result as
@@ -223,7 +224,7 @@ def run_algorithm(
                 f"engine selection is only supported for 'ecl-scc', not"
                 f" {algorithm!r}"
             )
-        options = engine_options(engine, options)
+        options = replace(options or ALL_ON, engine=engine)
     res = _execute(algorithm, graph, device, options, tracer, backend, faults)
     sigs = _SIGNATURE_ARRAYS.get(algorithm, 1)
     estimate = res.device.estimate(

@@ -116,17 +116,17 @@ def _int_list(spec: str) -> "list[int]":
 # ---------------------------------------------------------------------------
 
 def _cmd_scc(args: argparse.Namespace) -> int:
-    from .bench import run_algorithm
+    from . import solve
 
     graph = _load_graph(args.graph, args.format)
     if args.randomize_ids:
         from .graph.ops import permute_random
 
         graph, _ = permute_random(graph, seed=0)
-    result = run_algorithm(
+    result = solve(
         graph,
         args.algo,
-        _device(args.device),
+        device=_device(args.device),
         backend=args.backend,
         engine=args.engine,
         time_wall=args.time,
@@ -158,7 +158,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .baselines import tarjan_scc
 
     graph = _load_graph(args.graph, args.format)
-    stats = scc_statistics(graph, tarjan_scc(graph), with_depth=not args.no_depth)
+    stats = scc_statistics(graph, tarjan_scc(graph).labels, with_depth=not args.no_depth)
     for key, value in stats.as_row().items():
         print(f"{key:10s} {value}")
     return 0
@@ -211,7 +211,7 @@ def _bench_smoke(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .bench import run_algorithm
+    from . import solve
     from .graph.suite import powerlaw_suite
     from .mesh.suite import small_mesh_suite
     from .profile import profile_run
@@ -232,8 +232,8 @@ def _bench_smoke(args: argparse.Namespace) -> int:
             # trace ecl-scc cells so the gate can attribute regressions
             # to a phase; the ledger does not perturb counters
             tracer = Tracer() if algo == "ecl-scc" else None
-            res = run_algorithm(
-                g, algo, dev, backend=args.backend,
+            res = solve(
+                g, algo, device=dev, backend=args.backend,
                 engine=engine if algo == "ecl-scc" else None,
                 verify=True, tracer=tracer,
             )
@@ -371,7 +371,7 @@ def _bench_engines(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .bench import run_algorithm
+    from . import solve
     from .graph.suite import engine_corpus
 
     dev = _device(args.device)
@@ -380,8 +380,8 @@ def _bench_engines(args: argparse.Namespace) -> int:
     for gname, g in engine_corpus():
         labels_ref = None
         for engine in _ENGINE_MATRIX:
-            res = run_algorithm(
-                g, "ecl-scc", dev, backend=args.backend, engine=engine,
+            res = solve(
+                g, "ecl-scc", device=dev, backend=args.backend, engine=engine,
                 verify=True,
             )
             if labels_ref is None:
@@ -830,7 +830,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace = load_jsonl(args.load)
         print(render_summary(trace))
         return 0
-    from .bench import run_algorithm
+    from . import solve
 
     graph = _trace_workload(args)
     tracer = Tracer(
@@ -842,8 +842,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "num_edges": graph.num_edges,
         }
     )
-    result = run_algorithm(
-        graph, args.algo, _device(args.device),
+    result = solve(
+        graph, args.algo, device=_device(args.device),
         backend=args.backend, engine=args.engine, tracer=tracer,
     )
     trace = tracer.finish()
@@ -864,7 +864,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run one algorithm traced and print its per-phase attribution."""
-    from .bench import run_algorithm
+    from . import solve
     from .profile import profile_run, render_profile, to_prometheus
     from .trace import Tracer, dump_jsonl
 
@@ -883,8 +883,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.backend:
         meta["backend"] = args.backend
     tracer = Tracer(meta=meta)
-    result = run_algorithm(
-        graph, args.algo, _device(args.device),
+    result = solve(
+        graph, args.algo, device=_device(args.device),
         backend=args.backend, engine=args.engine, tracer=tracer,
     )
     tracer.finish()
@@ -1058,7 +1058,7 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .bench import run_algorithm
+    from . import solve
     from .faults import FaultPlan
     from .graph.suite import powerlaw_suite
     from .mesh.suite import small_mesh_suite
@@ -1078,8 +1078,9 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
     engine = getattr(args, "engine", None)
     rows = []
     for gname, g in graphs:
-        clean = run_algorithm(
-            g, "ecl-scc", dev, backend=args.backend, engine=engine, verify=True
+        clean = solve(
+            g, "ecl-scc", device=dev, backend=args.backend, engine=engine,
+            verify=True,
         )
         rows.append(
             {
@@ -1093,8 +1094,8 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
             }
         )
         for pname, plan in plans:
-            res = run_algorithm(
-                g, "ecl-scc", dev, backend=args.backend, engine=engine,
+            res = solve(
+                g, "ecl-scc", device=dev, backend=args.backend, engine=engine,
                 verify=True, faults=plan,
             )
             if pname == "monotone" and not np.array_equal(
@@ -1133,18 +1134,18 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.workload == "smoke":
         return _chaos_smoke(args)
-    from .bench import run_algorithm
+    from . import solve
     from .trace import Tracer
 
     plan = _chaos_plan(args)
     graph = _trace_workload(args)
     tracer = Tracer(meta={"workload": args.workload, "plan": plan.to_dict()})
-    clean = run_algorithm(
-        graph, "ecl-scc", _device(args.device), backend=args.backend,
+    clean = solve(
+        graph, "ecl-scc", device=_device(args.device), backend=args.backend,
         engine=args.engine, verify=True,
     )
-    res = run_algorithm(
-        graph, "ecl-scc", _device(args.device),
+    res = solve(
+        graph, "ecl-scc", device=_device(args.device),
         backend=args.backend, engine=args.engine, verify=True,
         tracer=tracer, faults=plan,
     )
@@ -1511,24 +1512,55 @@ def build_parser() -> argparse.ArgumentParser:
     engine_list = " | ".join(ENGINE_NAMES)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # one --seed, defined once, accepted by every subcommand: it seeds
-    # whatever randomness the subcommand has (workload generators, fault
-    # plans, service workloads) and is inert where there is none
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    def option(*flags, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding one option shared by several subcommands."""
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(*flags, **kwargs)
+        return shared
+
+    # every shared option is defined once, here.  --seed is accepted by
+    # every subcommand: it seeds whatever randomness the subcommand has
+    # (workload generators, fault plans, service workloads) and is inert
+    # where there is none
+    common = option(
         "--seed", type=int, default=0,
         help="RNG seed for generators / fault plans / workloads"
         " (default 0)",
     )
+    device = option("--device", default="A100",
+                    help="device model: Titan V | A100 | Ryzen 2950X | Xeon 6226R")
+    fmt = option("--format", default="auto",
+                 choices=["auto", "mtx", "edges", "dimacs", "npz"])
+    backend = option("--backend", default=None, choices=_backend_choices(),
+                     help="engine accounting backend (default: dense)")
+    engine = option("--engine", default=None, choices=list(ENGINE_NAMES),
+                    help=f"ecl-scc Phase-2 engine: {engine_list} (default:"
+                    " the options' engine; frontier for dynamic re-solves)")
+    scale = option("--scale", type=float, default=None,
+                   help="workload scale factor")
+    # the serve workload and service shape, shared by serve and obs
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--jobs", type=int, default=60,
+                         help="jobs in the generated workload (default 60)")
+    serving.add_argument("--graphs", type=int, default=4,
+                         help="named graphs in the Zipf world (default 4)")
+    serving.add_argument("--workers", type=int, default=2,
+                         help="worker pool size (default 2)")
+    serving.add_argument("--queue", type=int, default=8,
+                         help="bounded run-queue capacity (default 8)")
+    serving.add_argument("--utilization", type=float, default=1.5,
+                         help="open-loop arrival rate as a multiple of service"
+                         " capacity (default 1.5 = overload)")
+    serving.add_argument("--no-cache", action="store_true",
+                         help="disable the generation-keyed solve cache")
+    serving.add_argument("--no-coalesce", action="store_true",
+                         help="disable request coalescing (read attach +"
+                         " update merging)")
 
-    p = sub.add_parser("scc", parents=[common],
+    p = sub.add_parser("scc", parents=[common, device, fmt, backend, engine],
                        help="detect SCCs in a graph file")
     p.add_argument("graph", help="input graph file (.mtx/.txt/.edges/.gr)")
     p.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
     p.add_argument("--verify", action="store_true",
                    help="check labels against Tarjan (paper §4)")
     p.add_argument("--time", action="store_true",
@@ -1537,32 +1569,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write per-vertex labels to this file")
     p.add_argument("--randomize-ids", action="store_true",
                    help="random internal relabelling (see docs/algorithm.md §6)")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
     p.set_defaults(func=_cmd_scc)
 
-    p = sub.add_parser("stats", parents=[common], help="print SCC statistics of a graph file")
+    p = sub.add_parser("stats", parents=[common, fmt],
+                       help="print SCC statistics of a graph file")
     p.add_argument("graph")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
     p.add_argument("--no-depth", action="store_true",
                    help="skip the (expensive) condensation DAG depth")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a workload graph")
+    p = sub.add_parser("gen", parents=[common, scale], help="generate a workload graph")
     p.add_argument("kind", choices=["mesh", "powerlaw"])
     p.add_argument("name", help="mesh group or Table-3 graph name")
     p.add_argument("output", help="output file (.mtx/.txt/.edges/.gr)")
-    p.add_argument("--scale", type=float, default=None)
     p.add_argument("--ordinate", type=int, default=0,
                    help="which ordinate's sweep graph (meshes)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common], help="regenerate a paper table/figure")
+    p = sub.add_parser("bench", parents=[common, device, backend, engine],
+                       help="regenerate a paper table/figure")
     p.add_argument(
         "experiment",
         choices=["table1", "table2", "table3", "table5", "table6", "table7",
@@ -1570,13 +1595,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", default=None,
                    help="(smoke/engines) write results to this JSON file")
-    p.add_argument("--device", default="A100",
-                   help="(smoke/engines) device model to estimate against")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="(smoke/engines) engine accounting backend")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"(smoke) ecl-scc Phase-2 engine: {engine_list}")
     p.add_argument("--baseline", default=None,
                    help="(smoke/engines) compare against this baseline JSON"
                    " and gate: exact num_sccs, bounded ecl-scc"
@@ -1593,7 +1611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
-        "trace", parents=[common], help="run one algorithm with the structured tracer"
+        "trace", parents=[common, device, fmt, scale, backend, engine],
+        help="run one algorithm with the structured tracer",
     )
     p.add_argument(
         "workload",
@@ -1611,12 +1630,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="(diff) the two JSONL traces to compare: BASE NEW",
     )
     p.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--jsonl", help="write the trace to this JSONL file")
     p.add_argument("--load",
                    help="summarize an existing JSONL trace instead of running")
@@ -1624,17 +1637,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the span-tree summary")
     p.add_argument("--json", nargs="?", const="-", default=None,
                    help="(diff) write the diff as JSON to PATH (or stdout)")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
         "profile",
-        parents=[common],
+        parents=[common, device, fmt, scale, backend, engine],
         help="per-phase time attribution and roofline classification",
     )
     p.add_argument(
@@ -1646,12 +1653,6 @@ def build_parser() -> argparse.ArgumentParser:
         " default ladder:64",
     )
     p.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--json", nargs="?", const="-", default=None,
                    help="write the ProfileReport as JSON to PATH (or stdout)")
     p.add_argument("--prom", nargs="?", const="-", default=None,
@@ -1665,17 +1666,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stragglers", default=None,
                    help="(distributed) comma-separated per-rank slowdown"
                    " factors, e.g. 1.0,1.0,1.3,1.0")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
         "dynamic",
-        parents=[common],
+        parents=[common, device, fmt, scale, backend, engine],
         help="replay an edge log through the incremental SCC engine",
     )
     p.add_argument(
@@ -1692,25 +1687,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated batch sizes (default 1,4,16,64)")
     p.add_argument("--insert-fraction", type=float, default=0.5,
                    help="fraction of events that insert (default 0.5)")
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--verify", action="store_true",
                    help="check every batch's labels against a cold solve")
     p.add_argument("--json", default=None,
                    help="write the crossover table to this JSON file")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None, choices=list(ENGINE_NAMES),
-                   help=f"internal re-solve engine: {engine_list}"
-                   " (default: frontier)")
     p.set_defaults(func=_cmd_dynamic)
 
     p = sub.add_parser(
-        "chaos", parents=[common], help="run ECL-SCC under a seeded fault plan"
+        "chaos", parents=[common, device, fmt, scale, backend, engine],
+        help="run ECL-SCC under a seeded fault plan",
     )
     p.add_argument(
         "workload",
@@ -1722,25 +1707,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--plan", default="chaos",
                    help="'monotone', 'chaos', or a FaultPlan JSON file")
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--json", default=None,
                    help="(smoke) write results to this JSON file")
     p.add_argument("--jsonl", help="write the faulted run's trace to JSONL")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
-        "serve", parents=[common],
+        "serve", parents=[common, serving, backend, engine],
         help="SCC-as-a-service control-plane bench + chaos harness",
     )
     p.add_argument(
@@ -1751,22 +1724,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default="serve-crash",
                    help="(chaos) preset name or FaultPlan JSON file"
                    " (must carry service-layer faults)")
-    p.add_argument("--jobs", type=int, default=60,
-                   help="jobs in the generated workload (default 60)")
-    p.add_argument("--graphs", type=int, default=4,
-                   help="named graphs in the Zipf world (default 4)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker pool size (default 2)")
-    p.add_argument("--queue", type=int, default=8,
-                   help="bounded run-queue capacity (default 8)")
-    p.add_argument("--utilization", type=float, default=1.5,
-                   help="open-loop arrival rate as a multiple of service"
-                   " capacity (default 1.5 = overload)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the generation-keyed solve cache")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable request coalescing (read attach +"
-                   " update merging)")
     p.add_argument("--json", default=None,
                    help="write results to this JSON file")
     p.add_argument("--baseline", default=None,
@@ -1775,15 +1732,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="(bench) allowed throughput/shed-rate regression"
                    " vs --baseline (default 0.05)")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"data-plane Phase-2 engine: {engine_list}")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
-        "obs", parents=[common],
+        "obs", parents=[common, serving, backend, engine],
         help="observability pipeline: time series, timelines, Perfetto"
         " export, SLO gate over a serve run",
     )
@@ -1812,44 +1764,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", type=float, default=1.04,
                    help="histogram bucket growth factor; quantile"
                    " relative error is sqrt(growth)-1 (default 1.04)")
-    p.add_argument("--jobs", type=int, default=60,
-                   help="jobs in the generated workload (default 60)")
-    p.add_argument("--graphs", type=int, default=4,
-                   help="named graphs in the Zipf world (default 4)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker pool size (default 2)")
-    p.add_argument("--queue", type=int, default=8,
-                   help="bounded run-queue capacity (default 8)")
-    p.add_argument("--utilization", type=float, default=1.5,
-                   help="open-loop arrival rate multiple (default 1.5)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the generation-keyed solve cache")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable request coalescing")
     p.add_argument("--json", default=None,
                    help="write the mode's JSON document to this file")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"data-plane Phase-2 engine: {engine_list}")
     p.set_defaults(func=_cmd_obs)
 
-    p = sub.add_parser("distributed", parents=[common], help="BSP cluster run: ECL vs FB-Trim")
+    p = sub.add_parser("distributed", parents=[common, fmt], help="BSP cluster run: ECL vs FB-Trim")
     p.add_argument("graph")
     p.add_argument("--ranks", type=int, default=8)
     p.add_argument("--random-partition", action="store_true")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
     p.set_defaults(func=_cmd_distributed)
 
     p = sub.add_parser("devices", parents=[common], help="list virtual device models")
     p.set_defaults(func=_cmd_devices)
 
-    p = sub.add_parser("sweep", parents=[common], help="run the full RTE pipeline on a mesh")
+    p = sub.add_parser("sweep", parents=[common, scale], help="run the full RTE pipeline on a mesh")
     p.add_argument("mesh", help="mesh group name (e.g. toroid-hex)")
     p.add_argument("--ordinates", type=int, default=4)
-    p.add_argument("--scale", type=float, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

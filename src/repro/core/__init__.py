@@ -13,7 +13,6 @@ from .options import (
     ENGINE_NAMES,
     EclOptions,
     ablation_variants,
-    engine_options,
 )
 from .signatures import Signatures
 from .propagation import (
@@ -33,7 +32,6 @@ __all__ = [
     "ALL_ON",
     "EclOptions",
     "ablation_variants",
-    "engine_options",
     "ENGINE_NAMES",
     "Signatures",
     "BlockPartition",

@@ -37,14 +37,13 @@ from ..faults.plan import FaultPlan
 from ..faults.recovery import CheckpointStore, heal_labels
 from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
-from ..results import AlgoResult
+from ..results import AlgoResult, Status
 from ..trace import Tracer, ensure_tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .options import ALL_ON, EclOptions
 from .propagation import (
     BlockPartition,
     EdgeGrouping,
-    propagate_adaptive,
     propagate_async,
     propagate_frontier,
     propagate_sync,
@@ -324,20 +323,12 @@ def ecl_scc(
                             reinit: int = 0,
                             recovery: bool = False,
                         ) -> int:
-                            if scheduler is not None:
-                                _, r = propagate_adaptive(
-                                    sigs, grouping, device, opts, n,
-                                    seed=seed_ids, backend=be,
-                                    scheduler=scheduler, reinit=reinit,
-                                    outer=outer, recovery=recovery,
-                                    tracer=tr,
-                                )
-                            else:
-                                _, r = propagate_frontier(
-                                    sigs, grouping, device, opts, n,
-                                    seed=seed_ids, backend=be, reinit=reinit,
-                                    tracer=tr,
-                                )
+                            _, r = propagate_frontier(
+                                sigs, grouping, device, opts, n,
+                                seed=seed_ids, backend=be, reinit=reinit,
+                                scheduler=scheduler, outer=outer,
+                                recovery=recovery, tracer=tr,
+                            )
                             return r
 
                         rounds = run_reuse(
@@ -451,7 +442,7 @@ def ecl_scc(
             break
 
     assert not np.any(labels == NO_VERTEX), "every vertex must be labelled"
-    status = "clean"
+    status = Status.CLEAN
     report = None
     if injector is not None:
         if plan.bitflips:

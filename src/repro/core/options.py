@@ -7,7 +7,6 @@ ablation benchmark flips these flags one at a time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -22,14 +21,13 @@ __all__ = [
     "ALL_OFF",
     "ENGINE_NAMES",
     "ablation_variants",
-    "engine_options",
     "validate_engine",
 ]
 
 #: The Phase-2 engine registry: every name ``EclOptions.engine``,
-#: :func:`engine_options`, ``run_algorithm(engine=)``, and ``--engine``
-#: accept.  New engines register here (CLI ``--engine`` help and choices
-#: are derived from this tuple, never hand-maintained).
+#: ``solve(engine=)``, and ``--engine`` accept.  New engines register
+#: here (CLI ``--engine`` help and choices are derived from this tuple,
+#: never hand-maintained).
 ENGINE_NAMES = ("sync", "async", "atomic", "frontier", "adaptive")
 
 
@@ -37,10 +35,10 @@ def validate_engine(engine: str) -> str:
     """Check *engine* against the registry; raise a helpful error if unknown.
 
     This is the *single* validation path for engine names: direct
-    construction, ``dataclasses.replace`` copies (which round-trip every
-    field through the generated ``__init__`` and hence ``__post_init__``),
-    and :func:`engine_options` all funnel through here — an invalid name
-    can never be smuggled into a frozen :class:`EclOptions` instance
+    construction and ``dataclasses.replace`` copies (which round-trip
+    every field through the generated ``__init__`` and hence
+    ``__post_init__``) both funnel through here — an invalid name can
+    never be smuggled into a frozen :class:`EclOptions` instance
     (regression-tested in ``tests/test_core_options_signatures.py``).
     """
     if engine not in ENGINE_NAMES:
@@ -90,10 +88,13 @@ class EclOptions:
     engine:
         name of the Phase-2 engine, validated against the engine
         registry (:data:`ENGINE_NAMES`).  The default ``""`` derives
-        the engine from the paper's ablation flags (``atomic_phase2``
-        wins, then ``async_phase2`` picks async over sync); an explicit
-        name overrides both.  ``"frontier"`` selects the persistent
-        vertex-worklist kernel with *cross-iteration frontier reuse*:
+        the engine from the paper's ablation flag (``async_phase2``
+        picks async over sync); an explicit name overrides it.
+        ``"atomic"`` selects the two-atomic-max Phase 2 the paper
+        rejected (§3.4), for the atomic-vs-atomic-free ablation
+        (``benchmarks/test_ext_atomic.py``).  ``"frontier"`` selects
+        the persistent vertex-worklist kernel with *cross-iteration
+        frontier reuse*:
         after Phase 3 removes edges, the next outer iteration
         re-initializes and re-propagates only the invalidated vertices
         (unfinished vertices plus endpoints of removed edges) instead
@@ -121,10 +122,6 @@ class EclOptions:
     remove_scc_edges: bool = True
     path_compression: bool = True
     persistent_threads: bool = True
-    #: use the two-atomic-max Phase 2 the paper rejected (§3.4) instead of
-    #: the atomic-free engine; overrides ``async_phase2``.  For the
-    #: atomic-vs-atomic-free ablation (benchmarks/test_ext_atomic.py).
-    atomic_phase2: bool = False
     engine: str = ""
     block_edges: int = 512
     max_outer_iterations: int = 0  # 0 = auto (|V| + 2)
@@ -157,13 +154,11 @@ class EclOptions:
     def phase2_engine(self) -> str:
         """Resolved name of the Phase-2 engine these options select.
 
-        An explicit ``engine`` wins; otherwise the paper's ablation
-        flags decide (``atomic_phase2``, then ``async_phase2``).
+        An explicit ``engine`` wins; otherwise the paper's ablation flag
+        ``async_phase2`` decides.
         """
         if self.engine:
             return self.engine
-        if self.atomic_phase2:
-            return "atomic"
         return "async" if self.async_phase2 else "sync"
 
     def disabling(self, flag: str) -> "EclOptions":
@@ -178,46 +173,6 @@ class EclOptions:
         return replace(self, **{flag: False})
 
 
-def _frontier_phase2_shim(self: EclOptions) -> bool:
-    """Deprecated read access to the folded PR 4 bool flag."""
-    warnings.warn(
-        "EclOptions.frontier_phase2 is deprecated; compare"
-        " EclOptions.phase2_engine == 'frontier' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return self.phase2_engine == "frontier"
-
-
-# ``frontier_phase2`` (PR 4's bool flag) is deliberately NOT a dataclass
-# field: dataclasses.replace() round-trips every field through the
-# constructor, and the shim keyword must stay invisible to the internal
-# replace() calls (engine_options, disabling, per-run fault stripping) or
-# each of them would re-fire the DeprecationWarning.  Instead the
-# generated __init__ is wrapped to accept the legacy keyword, and a class
-# property serves the deprecated *read* path.
-_dataclass_init = EclOptions.__init__
-
-
-def _init_with_shim(self, *args, frontier_phase2=None, **kwargs) -> None:
-    if frontier_phase2 is not None:
-        warnings.warn(
-            "EclOptions(frontier_phase2=...) is deprecated; pass"
-            " engine='frontier' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        engine_given = len(args) >= 6 or bool(kwargs.get("engine"))
-        if frontier_phase2 and not engine_given:
-            kwargs["engine"] = "frontier"
-    _dataclass_init(self, *args, **kwargs)
-
-
-_init_with_shim.__doc__ = _dataclass_init.__doc__
-EclOptions.__init__ = _init_with_shim  # type: ignore[method-assign]
-EclOptions.frontier_phase2 = property(_frontier_phase2_shim)  # type: ignore[assignment]
-
-
 #: all optimizations enabled — the configuration the paper ships.
 ALL_ON = EclOptions()
 
@@ -228,23 +183,6 @@ ALL_OFF = EclOptions(
     path_compression=False,
     persistent_threads=False,
 )
-
-
-def engine_options(engine: str, base: "EclOptions | None" = None) -> EclOptions:
-    """Options selecting a named Phase-2 *engine*, from *base* (default ALL_ON).
-
-    Thin shim over the ``EclOptions.engine`` field (which this helper
-    predates): the engine is an orthogonal axis to ``backend`` — the
-    backend decides what vertex scans cost, the engine decides how
-    Phase 2 reaches its fixed point (``sync`` = one launch per global
-    round, ``async`` = block-local iteration, ``atomic`` = the rejected
-    two-atomic-max variant, ``frontier`` = persistent worklist with
-    cross-iteration frontier reuse, ``adaptive`` = the frontier drain
-    with per-round policy selection).  Unknown names raise listing the
-    registry.
-    """
-    base = ALL_ON if base is None else base
-    return replace(base, engine=validate_engine(engine))
 
 
 def ablation_variants() -> "dict[str, EclOptions]":

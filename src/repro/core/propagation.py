@@ -1,6 +1,6 @@
 """Phase 2 of ECL-SCC: maximum-signature propagation to a fixed point.
 
-Three engines implement the modelled kernel organizations:
+The engines implement the modelled kernel organizations:
 
 * :func:`propagate_sync` — one kernel launch per global relaxation round
   (the baseline organization; Fig. 14's "no async" bar).
@@ -16,18 +16,16 @@ Three engines implement the modelled kernel organizations:
   vertices whose signatures changed are re-relaxed, and the driver seeds
   each outer iteration from the *invalidated* vertices only
   (cross-iteration frontier reuse) instead of re-relaxing every
-  surviving edge to quiescence.
-* :func:`propagate_adaptive` — the frontier engine's drain structure
-  with the round step delegated to a per-round
-  :class:`~repro.engine.policy.PropagationPolicy` picked by an
-  :class:`~repro.engine.scheduler.AdaptiveScheduler` from frontier
+  surviving edge to quiescence.  The ``frontier`` engine runs every
+  round as the registered ``frontier`` policy
+  (:class:`~repro.engine.policy.FrontierPushPolicy`); the ``adaptive``
+  engine passes an :class:`~repro.engine.scheduler.AdaptiveScheduler`
+  that picks each round's
+  :class:`~repro.engine.policy.PropagationPolicy` from frontier
   density, average frontier degree, and the running
-  launch-overhead/bandwidth ratio.
-
-The frontier engine's own round step *is* the registered ``frontier``
-policy (:class:`~repro.engine.policy.FrontierPushPolicy`) — one code
-path, so the static engine and the adaptive engine's frontier rounds can
-never diverge in labels or charges.
+  launch-overhead/bandwidth ratio.  One drain serves both, so the static
+  engine and the adaptive engine's frontier rounds can never diverge in
+  labels or charges.
 
 All engines converge to the same unique fixed point: max-propagation is
 monotone, every engine terminates only when no plain relaxation can make
@@ -73,7 +71,6 @@ __all__ = [
     "propagate_sync",
     "propagate_async",
     "propagate_frontier",
-    "propagate_adaptive",
 ]
 
 
@@ -477,11 +474,17 @@ def propagate_frontier(
     seed: np.ndarray,
     backend: ArrayBackend,
     reinit: int = 0,
+    scheduler: "AdaptiveScheduler | None" = None,
+    outer: int = 0,
+    recovery: bool = False,
     tracer: Tracer = NULL_TRACER,
 ) -> "tuple[int, int]":
     """Frontier Phase 2: persistent vertex worklist seeded by *seed*.
 
-    Returns ``(launches, rounds)``.
+    Returns ``(launches, rounds)``.  This one drain serves both the
+    ``frontier`` engine (no *scheduler*: every round runs the
+    ``frontier`` policy) and the ``adaptive`` engine (the *scheduler*
+    picks each round's policy).
 
     Model: one kernel compacts the invalidation flags into a vertex
     worklist (one atomic slot claim per seed vertex), then a single
@@ -500,7 +503,10 @@ def propagate_frontier(
     point — labels are bit-identical to the dense engines.  ``seed``
     must contain every vertex whose signature differs from its dense
     re-initialized state (the driver passes the invalidated set:
-    unfinished vertices plus removed-edge endpoints).
+    unfinished vertices plus removed-edge endpoints).  Every policy is a
+    monotone step of the same semilattice that returns the exact
+    changed-vertex set, so a scheduler mixing dense and frontier rounds
+    keeps that invariant and reaches the same fixed point.
 
     Accounting: the seed compaction is one backend-swept launch, fused
     with the driver's partial Phase-1 re-init (``reinit`` invalidated
@@ -510,16 +516,29 @@ def propagate_frontier(
     (active-adjacent edges only, racy scatter-max, next-frontier
     enqueues) is charged as in-kernel traffic without further launches —
     this is what makes the engine win on launch-dominated mesh graphs.
+    A dense round picked by the scheduler is in-kernel work of the same
+    drain (:func:`~repro.engine.accounting.charge_dense_round`), so the
+    launch count does not depend on the policy mix.
+
+    The scheduler's inputs are fed here: structural launches via
+    ``note_launches`` (the latency side of its ratio) and per-round
+    counter deltas via ``account_round`` (the bandwidth side), both
+    backend-invariant.  With ``recovery=True`` (re-propagation after a
+    fault) the scheduler forces the ``frontier`` policy, skips the
+    density scan, and its tallies are left untouched, so a fault plan
+    cannot perturb the main rounds' decision sequence.
     """
     bound = opts.rounds_bound(num_vertices)
-    src, dst = grouping.src, grouping.dst
-    indptr, edge_ids = build_vertex_incidence(src, dst, num_vertices)
+    indptr, edge_ids = build_vertex_incidence(grouping.src, grouping.dst, num_vertices)
     frontier = VertexFrontier.seeded(seed, num_vertices)
     charge_frontier_compaction(
         dev, backend, num_vertices=num_vertices, frontier_size=frontier.size,
         reinit=reinit,
     )
+    tally = scheduler is not None and not recovery
     launches = 1
+    if tally:
+        scheduler.note_launches(1)
     if frontier.size == 0:
         # the host sees an empty worklist and skips the drain launch
         return launches, 0
@@ -528,9 +547,9 @@ def propagate_frontier(
         blocks = min(blocks, dev.grid_blocks(persistent=True))
     charge_frontier_launch(dev, blocks=blocks)
     launches += 1
+    if tally:
+        scheduler.note_launches(1, blocks=blocks)
     rounds = 0
-    # the round step is the registered "frontier" policy — the same code
-    # object the adaptive engine dispatches, so the two cannot diverge
     policy = get_policy("frontier")
     state = RoundState(
         sigs=sigs,
@@ -544,112 +563,27 @@ def propagate_frontier(
     while frontier.size:
         rounds += 1
         _bounds_check(rounds, bound, "propagate_frontier", sigs)
-        tracer.counter("relaxation-round", engine="frontier")
         state.frontier = frontier.vertices
-        changed_v = policy.run_round(state, dev)
-        frontier.advance(changed_v)
-    return launches, rounds
-
-
-def propagate_adaptive(
-    sigs: Signatures,
-    grouping: EdgeGrouping,
-    dev: VirtualDevice,
-    opts: EclOptions,
-    num_vertices: int,
-    *,
-    seed: np.ndarray,
-    backend: ArrayBackend,
-    scheduler: AdaptiveScheduler,
-    reinit: int = 0,
-    outer: int = 0,
-    recovery: bool = False,
-    tracer: Tracer = NULL_TRACER,
-) -> "tuple[int, int]":
-    """Adaptive Phase 2: the frontier drain with per-round policy selection.
-
-    Returns ``(launches, rounds)``.
-
-    Structurally identical to :func:`propagate_frontier` — one
-    backend-swept seed compaction (fused with the partial Phase-1
-    re-init) plus one persistent drain launch — but before each in-kernel
-    round the *scheduler* picks the round's
-    :class:`~repro.engine.policy.PropagationPolicy`: a frontier push
-    round gathers only the frontier-incident edges, a dense pull round
-    re-relaxes the whole worklist (charged as in-kernel work of the same
-    drain, :func:`~repro.engine.accounting.charge_dense_round` — no extra
-    launch).  Kernel-launch counts are therefore *identical* to the
-    frontier engine whatever the policy mix, and the golden frontier
-    launch counts cover both engines.
-
-    Correctness of mixing: every policy is a monotone step of the same
-    max-propagation semilattice and returns the exact changed-vertex set,
-    so the frontier invariant ("frontier = vertices whose signature
-    changed last round") survives a dense round — edges not incident to
-    a changed vertex relax to values they already hold — and the drain
-    still terminates exactly at plain-relaxation quiescence, reaching the
-    same schedule-independent fixed point.  Labels stay bit-identical to
-    the dense engines.
-
-    The scheduler's inputs are fed here: structural launches via
-    ``note_launches`` (the latency side of the ratio) and per-round
-    counter deltas via ``account_round`` (the bandwidth side), both
-    backend-invariant.  With ``recovery=True`` (post-restore
-    re-propagation) the policy is forced to ``frontier``, the density
-    scan is skipped, and the tallies are left untouched, so a fault plan
-    cannot perturb the main rounds' decision sequence.
-    """
-    bound = opts.rounds_bound(num_vertices)
-    src, dst = grouping.src, grouping.dst
-    indptr, edge_ids = build_vertex_incidence(src, dst, num_vertices)
-    frontier = VertexFrontier.seeded(seed, num_vertices)
-    charge_frontier_compaction(
-        dev, backend, num_vertices=num_vertices, frontier_size=frontier.size,
-        reinit=reinit,
-    )
-    launches = 1
-    if not recovery:
-        scheduler.note_launches(1)
-    if frontier.size == 0:
-        # the host sees an empty worklist and skips the drain launch
-        return launches, 0
-    blocks = dev.blocks_for(max(grouping.num_edges, frontier.size))
-    if opts.persistent_threads:
-        blocks = min(blocks, dev.grid_blocks(persistent=True))
-    charge_frontier_launch(dev, blocks=blocks)
-    launches += 1
-    if not recovery:
-        scheduler.note_launches(1, blocks=blocks)
-    rounds = 0
-    state = RoundState(
-        sigs=sigs,
-        grouping=grouping,
-        indptr=indptr,
-        edge_ids=edge_ids,
-        frontier=frontier.vertices,
-        num_vertices=num_vertices,
-        compress=opts.path_compression,
-    )
-    while frontier.size:
-        rounds += 1
-        _bounds_check(rounds, bound, "propagate_adaptive", sigs)
-        state.frontier = frontier.vertices
-        policy = scheduler.decide(
-            dev,
-            frontier=frontier.vertices,
-            indptr=indptr,
-            worklist_edges=grouping.num_edges,
-            touched=grouping.touched.size,
-            num_vertices=num_vertices,
-            compress=opts.path_compression,
-            outer=outer,
-            round_no=rounds,
-            recovery=recovery,
-        )
-        tracer.counter("relaxation-round", engine="adaptive", policy=policy.name)
-        before = dev.counters.snapshot()
-        changed_v = policy.run_round(state, dev)
-        if not recovery:
-            scheduler.account_round(before, dev.counters.snapshot())
+        if scheduler is None:
+            tracer.counter("relaxation-round", engine="frontier")
+            changed_v = policy.run_round(state, dev)
+        else:
+            policy = scheduler.decide(
+                dev,
+                frontier=frontier.vertices,
+                indptr=indptr,
+                worklist_edges=grouping.num_edges,
+                touched=grouping.touched.size,
+                num_vertices=num_vertices,
+                compress=opts.path_compression,
+                outer=outer,
+                round_no=rounds,
+                recovery=recovery,
+            )
+            tracer.counter("relaxation-round", engine="adaptive", policy=policy.name)
+            before = dev.counters.snapshot()
+            changed_v = policy.run_round(state, dev)
+            if tally:
+                scheduler.account_round(before, dev.counters.snapshot())
         frontier.advance(changed_v)
     return launches, rounds

@@ -29,7 +29,7 @@ from ..faults.inject import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.recovery import backoff_seconds
 from ..graph.csr import CSRGraph
-from ..results import AlgoResult
+from ..results import AlgoResult, Status
 from ..trace import Tracer, ensure_tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .cluster import ClusterSpec, VirtualCluster
@@ -62,8 +62,7 @@ def distributed_ecl_scc(
     partition: Partition,
     spec: "ClusterSpec | None" = None,
     *,
-    frontier: bool = False,
-    engine: "str | None" = None,
+    engine: str = "dense",
     tracer: "Tracer | None" = None,
     faults: "FaultPlan | None" = None,
 ) -> DistributedResult:
@@ -76,8 +75,10 @@ def distributed_ecl_scc(
     nested in its ``outer-iteration``, and halo traffic is recorded as
     per-rank ``halo-messages`` counters (attr ``rank``).
 
-    With ``frontier`` (default off), each rank applies the shared-memory
-    frontier engine's cross-iteration reuse: Phase 1 re-initializes only
+    ``engine`` names the per-rank round organization: ``"dense"`` (the
+    default), ``"frontier"`` or ``"adaptive"``.  With ``"frontier"``,
+    each rank applies the shared-memory frontier engine's
+    cross-iteration reuse: Phase 1 re-initializes only
     still-active vertices (completed vertices keep their converged
     ``(label:label)`` pairs, which surviving edges never read — the
     Phase-3 filter drops every edge incident to a completed vertex), and
@@ -89,10 +90,8 @@ def distributed_ecl_scc(
     the dense sweep; only the per-rank compute charge (active edges
     instead of all local edges) and the Phase-1 init charge shrink.
 
-    ``engine`` names the per-rank round organization explicitly:
-    ``"dense"``, ``"frontier"`` (equivalent to ``frontier=True``), or
-    ``"adaptive"`` — the distributed analogue of the shared-memory
-    adaptive engine.  Adaptive keeps the frontier iterates (identical
+    ``"adaptive"`` is the distributed analogue of the shared-memory
+    adaptive engine.  It keeps the frontier iterates (identical
     labels, rounds, supersteps, messages) but every rank picks its own
     round organization *per superstep* from its local frontier density:
     a rank whose selected-edge mass exceeds
@@ -111,12 +110,10 @@ def distributed_ecl_scc(
     backoff (charged to the alpha-beta model via
     :meth:`~repro.distributed.cluster.VirtualCluster.charge_retry`).  A
     permanent rank loss either fails over — survivors absorb the dead
-    rank's work, ``result.status == "degraded"`` — or raises
+    rank's work, ``result.status is Status.DEGRADED`` — or raises
     :class:`~repro.errors.RankLossError` with a structured payload when
     ``plan.failover`` is off.
     """
-    if engine is None:
-        engine = "frontier" if frontier else "dense"
     if engine not in ("dense", "frontier", "adaptive"):
         raise AlgorithmError(
             f"unknown distributed engine {engine!r}; valid choices:"
@@ -376,7 +373,7 @@ def distributed_ecl_scc(
         supersteps=supersteps,
         cluster=cluster,
         trace=tr.trace if tr.enabled else None,
-        status=injector.status() if injector is not None else "clean",
+        status=injector.status() if injector is not None else Status.CLEAN,
         fault_report=injector.report if injector is not None else None,
     )
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.eclscc import ecl_scc
-from ..core.options import ALL_ON, EclOptions, engine_options
+from ..core.options import ALL_ON, EclOptions
 from ..device.counters import KernelCounters
 from ..device.executor import VirtualDevice
 from ..device.spec import A100, DeviceSpec
@@ -289,7 +289,7 @@ class DynamicGraph:
         self._tr = ensure_tracer(tracer)
         attach_ledger(self._device, self._tr)
         base = options or ALL_ON
-        self._opts = engine_options(engine or "frontier", replace(base, faults=None))
+        self._opts = replace(base, engine=engine or "frontier", faults=None)
         self._backend = get_backend(backend if backend is not None else base.backend)
         self._faults = faults
         self._n = graph.num_vertices

@@ -67,11 +67,16 @@ def read_matrix_market(path: PathLike) -> CSRGraph:
         except ValueError as e:
             raise IOFormatError(f"{path}: bad size line {line!r}") from e
         if nnz > 0:
-            body = np.loadtxt(fh, dtype=np.float64, ndmin=2, max_rows=nnz)
+            try:
+                body = np.loadtxt(fh, dtype=np.float64, ndmin=2, max_rows=nnz)
+            except ValueError as e:
+                raise IOFormatError(f"{path}: could not parse entries") from e
         else:
             body = np.empty((0, 2))
     if body.size == 0:
         body = body.reshape(0, 2)
+    if body.shape[1] < 2:
+        raise IOFormatError(f"{path}: entries need a row and a column")
     if body.shape[0] != nnz:
         raise IOFormatError(
             f"{path}: expected {nnz} entries, found {body.shape[0]}"
@@ -135,7 +140,6 @@ def write_edge_list(path: PathLike, graph: CSRGraph) -> None:
 def read_dimacs(path: PathLike) -> CSRGraph:
     """Read DIMACS shortest-path format ('p sp N M', 'a u v [w]' lines)."""
     n = None
-    srcs: "list[str]" = []
     with _open_text(path) as fh:
         arc_lines = []
         for line in fh:
@@ -145,7 +149,10 @@ def read_dimacs(path: PathLike) -> CSRGraph:
                 parts = line.split()
                 if len(parts) < 4:
                     raise IOFormatError(f"{path}: bad problem line {line!r}")
-                n = int(parts[2])
+                try:
+                    n = int(parts[2])
+                except ValueError as e:
+                    raise IOFormatError(f"{path}: bad problem line {line!r}") from e
             elif line.startswith("a"):
                 arc_lines.append(line[1:])
             else:
@@ -153,7 +160,12 @@ def read_dimacs(path: PathLike) -> CSRGraph:
     if n is None:
         raise IOFormatError(f"{path}: missing 'p' problem line")
     if arc_lines:
-        body = np.loadtxt(_io.StringIO("".join(arc_lines)), dtype=np.int64, ndmin=2)
+        try:
+            body = np.loadtxt(_io.StringIO("".join(arc_lines)), dtype=np.int64, ndmin=2)
+        except ValueError as e:
+            raise IOFormatError(f"{path}: could not parse arcs") from e
+        if body.shape[1] < 2:
+            raise IOFormatError(f"{path}: arcs need a tail and a head")
         src = body[:, 0].astype(VERTEX_DTYPE) - 1
         dst = body[:, 1].astype(VERTEX_DTYPE) - 1
     else:

@@ -391,13 +391,6 @@ def toroid_wedge(n: int = 10, *, wobble: float = 0.05, name: str = "toroid-wedge
     return hex_to_wedges(base)
 
 
-def _quad_grid_open(nu: int, nv: int, fn, *, name: str, order: int, transform=None):
-    """Open quad patch plus the (nu+1, nv+1) node-id lattice (for gluing)."""
-    m = parametric_quad_grid((nu, nv), fn, identify="none", name=name, order=order, transform=transform)
-    nid = np.arange((nu + 1) * (nv + 1), dtype=VERTEX_DTYPE).reshape(nu + 1, nv + 1)
-    return m, nid
-
-
 def _quad_cell_index(nu: int, nv: int):
     """Element index of quad-grid cell (i, j) (i-major, matching builders)."""
     return lambda i, j: i * nv + j

@@ -1,52 +1,36 @@
 """The unified algorithm-result API: :class:`AlgoResult`.
 
-Historically the ``*_scc`` entry points disagreed on their return type:
-``tarjan_scc`` returned a bare label array, ``gpu_scc`` and friends
-returned ad-hoc ``(labels, device)`` tuples, and ``ecl_scc`` returned
-the rich :class:`~repro.core.eclscc.EclResult`.  Every entry point now
-returns an :class:`AlgoResult` (or a subclass) carrying::
+Every ``*_scc`` entry point returns an :class:`AlgoResult` (or a
+subclass) carrying::
 
     result.labels     # per-vertex SCC labels (max member ID)
     result.num_sccs   # number of distinct components
     result.device     # VirtualDevice with counters (None for oracles)
     result.trace      # repro.trace.Trace when a tracer was passed
 
-Backward compatibility ("deprecation shims"): an :class:`AlgoResult`
-still *behaves* like both legacy contracts —
-
-* tuple style: ``labels, dev = gpu_scc(g)`` and ``gpu_scc(g)[0]`` keep
-  working (``DeprecationWarning``);
-* bare-array style: ``np.asarray(result)`` yields the labels, unknown
-  attributes (``result.tolist()``, ``result.size``) delegate to the
-  label array, ``result == x`` compares labels elementwise, and array
-  indexing (``result[mask]``) indexes the labels — so
-  ``np.array_equal(tarjan_scc(g), ...)`` and every label-consuming
-  helper keep working (``DeprecationWarning`` on attribute delegation).
-
-New code should use the named fields.
+A result is a record, not a sequence or an array: read the labels as
+``result.labels`` (``np.asarray(result)`` yields a 0-d object array, not
+the labels).
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
-__all__ = ["AlgoResult", "Status", "count_sccs", "coerce_labels"]
+__all__ = ["AlgoResult", "Status", "count_sccs"]
 
 
 class Status(str, enum.Enum):
     """Outcome classification of one algorithm run.
 
-    Promoted from the ad-hoc strings of PR 3 so callers (notably
-    :mod:`repro.serve`) can switch on terminal states safely.  The
-    ``str`` mixin is the string-compat shim: every member *is* its
-    legacy string (``Status.CLEAN == "clean"``, f-strings and
-    ``json.dumps`` render the bare value), so existing comparisons and
-    serializations are unchanged.
+    Callers (notably :mod:`repro.serve`) switch on terminal states.  The
+    ``str`` mixin makes every member equal to its value
+    (``Status.CLEAN == "clean"``), and f-strings and ``json.dumps``
+    render the bare value.
 
     Members
     -------
@@ -75,22 +59,6 @@ def count_sccs(labels: np.ndarray) -> int:
     return int(np.unique(labels).size) if labels.size else 0
 
 
-def coerce_labels(labels_or_result: Any) -> np.ndarray:
-    """Accept an :class:`AlgoResult` or a bare array; return the array."""
-    if isinstance(labels_or_result, AlgoResult):
-        return np.asarray(labels_or_result.labels)
-    return np.asarray(labels_or_result)
-
-
-def _deprecated(how: str) -> None:
-    warnings.warn(
-        f"accessing an AlgoResult {how} is deprecated; use the named"
-        " fields (.labels, .num_sccs, .device, .trace) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(eq=False)
 class AlgoResult:
     """Outcome of one SCC-algorithm run — the unified return contract.
@@ -113,10 +81,7 @@ class AlgoResult:
         observed), :attr:`Status.RECOVERED` (faults were injected and
         absorbed; labels verified), or :attr:`Status.DEGRADED`
         (permanent loss absorbed by failover).  Always CLEAN when no
-        :class:`~repro.faults.FaultPlan` was active.  Known legacy
-        strings passed by constructors are coerced to the enum;
-        ``result.status == "clean"`` keeps working via the ``str``
-        mixin.
+        :class:`~repro.faults.FaultPlan` was active.
     fault_report:
         the run's :class:`~repro.faults.FaultReport` (every injected
         fault and recovery action), or None without a fault plan.
@@ -126,82 +91,5 @@ class AlgoResult:
     num_sccs: int
     device: Optional[Any] = None
     trace: Optional[Any] = None
-    status: "Status | str" = Status.CLEAN
+    status: Status = Status.CLEAN
     fault_report: Optional[Any] = None
-
-    def __post_init__(self):
-        # string-compat shim: constructors may still pass the legacy
-        # strings; known values become Status members, unknown strings
-        # pass through untouched (callers can extend the vocabulary)
-        if not isinstance(self.status, Status):
-            try:
-                self.status = Status(self.status)
-            except ValueError:
-                pass
-
-    # ------------------------------------------------------------------
-    # legacy (labels, device) tuple contract
-    # ------------------------------------------------------------------
-    def __iter__(self):
-        _deprecated("as a (labels, device) tuple")
-        return iter((self.labels, self.device))
-
-    def __getitem__(self, key):
-        # The tuple contract only ever existed for device-returning
-        # algorithms; oracle results (device=None) were bare arrays, so
-        # integer keys on them must index the labels (``truth[v]``).
-        if (
-            self.device is not None
-            and isinstance(key, (int, np.integer))
-            and key in (0, 1)
-        ):
-            _deprecated("by tuple position")
-            return self.labels if key == 0 else self.device
-        # everything else is legacy bare-array indexing (masks, slices,
-        # fancy indices, negative positions)
-        return self.labels[key]
-
-    # ------------------------------------------------------------------
-    # legacy bare-array contract
-    # ------------------------------------------------------------------
-    def __array__(self, dtype=None, copy=None):
-        arr = np.asarray(self.labels)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        if copy:
-            arr = arr.copy()
-        return arr
-
-    def __getattr__(self, name: str):
-        # only called for attributes missing on the instance/class;
-        # delegate to the label array so `.tolist()`, `.size`, `.max()`
-        # etc. keep working for legacy bare-array call sites
-        if name.startswith("_") or name == "labels":
-            raise AttributeError(name)
-        labels = self.__dict__.get("labels")
-        if labels is None:
-            raise AttributeError(name)
-        try:
-            value = getattr(labels, name)
-        except AttributeError:
-            raise AttributeError(
-                f"{type(self).__name__!s} has no attribute {name!r}"
-            ) from None
-        _deprecated(f"as a bare label array (.{name})")
-        return value
-
-    def __eq__(self, other):
-        if isinstance(other, AlgoResult):
-            return self is other or (
-                np.array_equal(self.labels, other.labels)
-                and self.num_sccs == other.num_sccs
-            )
-        return np.asarray(self.labels) == other
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if isinstance(result, np.ndarray):
-            return ~result
-        return not result
-
-    __hash__ = object.__hash__

@@ -1,9 +1,6 @@
 """The unified solve API: :func:`solve` and :class:`Solver`.
 
-Running an algorithm used to require knowing the bench harness
-(:func:`repro.bench.run_algorithm`) and its positional ``(graph,
-algorithm, device)`` contract.  This module is the front door that
-subsumes it:
+This module is the one public entry point for running an SCC code:
 
 * :func:`solve` — one call for the static question: ``solve(g)`` runs
   ECL-SCC on the default device and returns the
@@ -18,15 +15,12 @@ subsumes it:
   case: ``Solver().dynamic(g).query()`` yields the same labels as
   ``Solver().solve(g)``.
 
-Legacy spellings are accepted with ``DeprecationWarning`` shims:
-``solve(g, algo="ecl-scc")`` (old bench scripts) and
-``solve(g, frontier_phase2=True)`` (PR 4's bool flag, folded into
-``engine="frontier"`` — see :class:`repro.core.options.EclOptions`).
+Both run through :func:`repro.bench.runners.run_algorithm`, the
+implementation behind :meth:`Solver.solve`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .bench.runners import RunResult, run_algorithm
@@ -124,7 +118,7 @@ class Solver:
 
 def solve(
     graph: CSRGraph,
-    algorithm: "str | None" = None,
+    algorithm: str = "ecl-scc",
     *,
     device: "DeviceSpec | None" = None,
     engine: "str | None" = None,
@@ -135,7 +129,6 @@ def solve(
     verify: bool = False,
     time_wall: bool = False,
     repeats: int = 9,
-    **legacy,
 ) -> RunResult:
     """Solve *graph* for SCCs — the one-call front door.
 
@@ -143,37 +136,9 @@ def solve(
     ``solve(g, "ispan")`` runs a baseline; ``engine=`` / ``backend=`` /
     ``options=`` / ``faults=`` select the pipeline axes exactly as
     :class:`Solver` does (this function is ``Solver(...).solve(...)``).
-
-    Deprecated spellings (``DeprecationWarning``): ``algo=`` for the
-    algorithm name and ``frontier_phase2=True`` for
-    ``engine="frontier"``.
     """
-    if "algo" in legacy:
-        warnings.warn(
-            "solve(algo=...) is deprecated; pass the algorithm name"
-            " positionally or as algorithm=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if algorithm is not None:
-            raise AlgorithmError("pass either algorithm= or algo=, not both")
-        algorithm = legacy.pop("algo")
-    if "frontier_phase2" in legacy:
-        warnings.warn(
-            "solve(frontier_phase2=...) is deprecated; pass"
-            " engine='frontier' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if legacy.pop("frontier_phase2") and engine is None:
-            engine = "frontier"
-    if legacy:
-        raise TypeError(
-            "solve() got unexpected keyword arguments: "
-            + ", ".join(sorted(legacy))
-        )
     solver = Solver(
-        algorithm=algorithm or "ecl-scc",
+        algorithm=algorithm,
         device=device if device is not None else A100,
         engine=engine,
         backend=backend,

@@ -13,7 +13,7 @@ This subpackage is the substrate that records it:
   round-trippable (:meth:`Trace.to_jsonl` / :meth:`Trace.from_jsonl`);
 * :func:`render_summary` — flame-style text aggregation.
 
-Every ``*_scc`` entry point, :func:`repro.bench.run_algorithm`, and
+Every ``*_scc`` entry point, :func:`repro.solve`, and
 :func:`repro.distributed.distributed_ecl_scc` accept ``tracer=``; the
 ``repro trace`` CLI subcommand runs an algorithm on a named workload and
 dumps/summarizes the JSONL.  See ``docs/observability.md``.

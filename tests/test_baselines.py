@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    active_degrees,
-    colored_fb_rounds,
     fb_scc,
     fbtrim_scc,
-    frontier_expand,
     gpu_scc,
     hong_scc,
     ispan_scc,
     kosaraju_scc,
+    tarjan_scc,
+)
+from repro.device import A100, XEON_6226R, VirtualDevice
+from repro.engine import (
+    active_degrees,
+    colored_fb_rounds,
+    frontier_expand,
     masked_bfs,
     normalize_labels_to_max,
-    tarjan_scc,
     trim1,
     trim2,
     trim3,
 )
-from repro.device import A100, XEON_6226R, VirtualDevice
 from repro.graph import (
     CSRGraph,
     complete_digraph,
@@ -35,18 +37,18 @@ from repro.types import NO_VERTEX, VERTEX_DTYPE
 class TestOracles:
     def test_tarjan_kosaraju_agree(self, all_graphs):
         for g in all_graphs:
-            assert np.array_equal(tarjan_scc(g), kosaraju_scc(g)), g
+            assert np.array_equal(tarjan_scc(g).labels, kosaraju_scc(g).labels), g
 
     def test_tarjan_cycle(self):
-        assert (tarjan_scc(cycle_graph(5)) == 4).all()
+        assert (tarjan_scc(cycle_graph(5)).labels == 4).all()
 
     def test_tarjan_path(self):
-        assert tarjan_scc(path_graph(4)).tolist() == [0, 1, 2, 3]
+        assert tarjan_scc(path_graph(4)).labels.tolist() == [0, 1, 2, 3]
 
     def test_tarjan_deep_graph_no_recursion_limit(self):
         # 50k-vertex path: a recursive DFS would blow the stack
         g = path_graph(50_000)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert labels[-1] == 49_999
 
     def test_normalize_labels(self):
@@ -165,7 +167,7 @@ class TestReach:
             labels = np.full(g.num_vertices, NO_VERTEX, dtype=VERTEX_DTYPE)
             active = np.ones(g.num_vertices, dtype=bool)
             colored_fb_rounds(g, active, labels, VirtualDevice(A100))
-            assert np.array_equal(labels, tarjan_scc(g)), g
+            assert np.array_equal(labels, tarjan_scc(g).labels), g
 
 
 class TestComparisonCodes:
@@ -175,27 +177,26 @@ class TestComparisonCodes:
     )
     def test_matches_tarjan(self, algo, all_graphs):
         for g in all_graphs:
-            labels, _ = algo(g)
-            assert np.array_equal(labels, tarjan_scc(g)), g
+            labels = algo(g).labels
+            assert np.array_equal(labels, tarjan_scc(g).labels), g
 
     def test_gpu_scc_launches_grow_with_depth(self):
         shallow = disjoint_union([complete_digraph(4)] * 8)
         deep = scc_ladder(64)
-        _, dev_s = gpu_scc(shallow, device=A100)
-        _, dev_d = gpu_scc(deep, device=A100)
+        dev_s = gpu_scc(shallow, device=A100).device
+        dev_d = gpu_scc(deep, device=A100).device
         assert dev_d.counters.kernel_launches > dev_s.counters.kernel_launches
 
     def test_ispan_serial_work_on_deep_graphs(self):
         g = scc_ladder(100)
-        _, dev = ispan_scc(g, device=XEON_6226R)
+        dev = ispan_scc(g, device=XEON_6226R).device
         assert dev.counters.serial_work > 0
 
     def test_fb_pivot_first(self):
         g = cycle_graph(7)
-        labels, _ = fb_scc(g, pivot="first")
-        assert np.array_equal(labels, tarjan_scc(g))
+        labels = fb_scc(g, pivot="first").labels
+        assert np.array_equal(labels, tarjan_scc(g).labels)
 
     def test_empty_graphs(self):
         for algo in (fb_scc, fbtrim_scc, gpu_scc, ispan_scc, hong_scc):
-            labels, _ = algo(CSRGraph.empty(0))
-            assert labels.size == 0
+            assert algo(CSRGraph.empty(0)).labels.size == 0

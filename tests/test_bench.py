@@ -10,11 +10,11 @@ from repro.bench import (
     median_time,
     render_series,
     render_table,
-    run_algorithm,
     runtime_table,
     throughput_figures,
     throughput_mvs,
 )
+from repro.bench.runners import run_algorithm
 from repro.device import A100, XEON_6226R
 from repro.errors import AlgorithmError
 from repro.graph import cycle_graph, scc_ladder

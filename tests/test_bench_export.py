@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.bench import (
     RUNTIME_COLUMNS,
     export_json,
-    run_algorithm,
     runtime_table,
     to_jsonable,
 )
@@ -37,7 +37,7 @@ class TestToJsonable:
         assert out == {"a": [1, {"b": 2.0}]}
 
     def test_run_result(self):
-        r = run_algorithm(scc_ladder(5), "ecl-scc", A100)
+        r = solve(scc_ladder(5), "ecl-scc", device=A100)
         out = to_jsonable(r)
         assert out["num_sccs"] == 5
         assert out["model_seconds"] > 0

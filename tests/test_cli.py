@@ -129,7 +129,7 @@ class TestEngineSelection:
         assert "SCCs" in capsys.readouterr().out
 
     def test_run_algorithm_rejects_engine_for_baselines(self):
-        from repro.bench import run_algorithm
+        from repro.bench.runners import run_algorithm
         from repro.device.spec import A100
         from repro.errors import AlgorithmError
 

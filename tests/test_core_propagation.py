@@ -10,7 +10,6 @@ from repro.core import (
     EdgeGrouping,
     Signatures,
     VertexFrontier,
-    engine_options,
     propagate_async,
     propagate_frontier,
     propagate_sync,
@@ -140,7 +139,7 @@ def run_frontier(graph, opts, seed=None):
     return sigs, launches, rounds, dev
 
 
-FRONTIER = engine_options("frontier")
+FRONTIER = EclOptions(engine="frontier")
 
 
 class TestFrontierEngine:
@@ -248,9 +247,7 @@ class TestSafetyBounds:
 
     def test_frontier_honors_explicit_max_rounds(self):
         g = cycle_graph(100)
-        opts = engine_options(
-            "frontier", EclOptions(path_compression=False, max_rounds=3)
-        )
+        opts = EclOptions(engine="frontier", path_compression=False, max_rounds=3)
         with pytest.raises(ConvergenceError) as ei:
             run_frontier(g, opts)
         assert ei.value.iterations == 3

@@ -14,6 +14,7 @@ PACKAGES = [
     "repro.graph",
     "repro.mesh",
     "repro.core",
+    "repro.engine",
     "repro.baselines",
     "repro.device",
     "repro.analysis",

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CSRGraph, DynamicGraph
 from repro.core import ecl_scc
-from repro.core.options import engine_options
+from repro.core.options import EclOptions
 from repro.device import A100, VirtualDevice
 from repro.dynamic import (
     DynamicCheckpoint,
@@ -301,7 +301,7 @@ def update_scripts(draw, max_n=16, max_m=40, max_steps=6):
 def test_property_interleaving_bit_identical(engine, backend, faulted, script):
     n, src, dst, steps = script
     faults = FaultPlan.monotone(7) if faulted else None
-    opts = engine_options(engine)
+    opts = EclOptions(engine=engine)
     dg = DynamicGraph(
         CSRGraph.from_edges(src, dst, n),
         engine=engine, backend=backend, faults=faults,

@@ -20,7 +20,7 @@ import pytest
 
 from repro.baselines import tarjan_scc
 from repro.bench.runners import _DISPATCH
-from repro.core import EclOptions, ecl_scc, engine_options
+from repro.core import EclOptions, ecl_scc
 from repro.device.spec import A100
 from repro.engine import backend_names
 from repro.graph import permute_random, cycle_graph
@@ -30,12 +30,10 @@ FLAGS = list(itertools.product((False, True), repeat=2))  # compression, persist
 
 
 def make_options(engine: str, compression: bool, persistent: bool) -> EclOptions:
-    return engine_options(
-        engine,
-        EclOptions(
-            path_compression=compression,
-            persistent_threads=persistent,
-        ),
+    return EclOptions(
+        engine=engine,
+        path_compression=compression,
+        persistent_threads=persistent,
     )
 
 
@@ -45,7 +43,7 @@ def test_engine_matrix_labels(engine, compression, persistent, all_graphs):
     opts = make_options(engine, compression, persistent)
     for g in all_graphs:
         res = ecl_scc(g, options=opts)
-        assert np.array_equal(res.labels, tarjan_scc(g)), (
+        assert np.array_equal(res.labels, tarjan_scc(g).labels), (
             engine, compression, persistent, g,
         )
 
@@ -55,7 +53,7 @@ def test_engines_with_randomized_ids(engine, random_graphs):
     opts = make_options(engine, True, True)
     for g in random_graphs[:6]:
         res = ecl_scc(g, options=opts, randomize_ids=True, seed=3)
-        assert np.array_equal(res.labels, tarjan_scc(g))
+        assert np.array_equal(res.labels, tarjan_scc(g).labels)
 
 
 # kernel-launch counts per (algorithm, corpus graph) captured before the
@@ -102,13 +100,107 @@ def test_frontier_golden_launches(engine, all_graphs):
     from repro.device.executor import VirtualDevice
 
     assert len(GOLDEN_FRONTIER_LAUNCHES) == len(all_graphs)
-    opts = engine_options(engine)
+    opts = EclOptions(engine=engine)
     for i, g in enumerate(all_graphs):
         dev = VirtualDevice(A100)
         res = ecl_scc(g, options=opts, device=dev)
         launches = res.device.counters.kernel_launches
         assert launches == GOLDEN_FRONTIER_LAUNCHES[i], (i, launches)
         assert launches <= GOLDEN_LAUNCHES["ecl-scc"][i], i
+
+
+# full KernelCounters.snapshot() of the frontier and adaptive engines on
+# the same corpus (A100, dense backend), one tuple per graph in
+# COUNTER_FIELDS order, captured while the two engines still had
+# separate drains.  Launch counts alone miss work charged without a
+# launch, such as a scheduler density scan paid by mistake.
+COUNTER_FIELDS = (
+    "kernel_launches",
+    "global_barriers",
+    "edge_work",
+    "vertex_work",
+    "bytes_moved",
+    "atomics",
+    "serial_work",
+    "rounds",
+    "blocks_scheduled",
+    "bytes_streamed",
+)
+GOLDEN_FRONTIER_COUNTERS = {
+    "frontier": [
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (2, 2, 0, 2, 32, 0, 0, 0, 2, 0),
+        (2, 2, 0, 10, 160, 0, 0, 0, 2, 0),
+        (4, 4, 2, 6, 152, 1, 0, 1, 4, 40),
+        (4, 4, 6, 20, 512, 3, 0, 2, 4, 88),
+        (6, 6, 3, 16, 344, 3, 0, 2, 6, 72),
+        (4, 4, 9, 28, 744, 3, 0, 2, 4, 104),
+        (4, 4, 11, 32, 872, 3, 0, 2, 4, 120),
+        (4, 4, 11, 38, 976, 6, 0, 3, 4, 144),
+        (4, 4, 87, 314, 8096, 60, 0, 9, 4, 1024),
+        (6, 6, 30, 124, 2984, 23, 0, 3, 6, 456),
+        (4, 4, 60, 170, 4760, 9, 0, 2, 4, 472),
+        (8, 8, 93, 312, 8088, 56, 0, 5, 8, 1184),
+        (6, 6, 118, 428, 10912, 53, 0, 3, 6, 1240),
+        (12, 12, 260, 842, 22360, 110, 0, 9, 12, 2400),
+        (8, 8, 463, 1596, 41752, 130, 0, 7, 8, 3936),
+        (10, 10, 289, 1032, 26616, 99, 0, 9, 10, 2512),
+        (10, 10, 673, 2468, 63512, 187, 0, 9, 10, 5184),
+        (10, 10, 274, 968, 24976, 95, 0, 8, 10, 2488),
+        (8, 8, 1231, 4040, 108424, 447, 0, 8, 8, 9024),
+        (10, 10, 324, 1120, 29216, 122, 0, 8, 10, 2784),
+        (10, 10, 1706, 5780, 153744, 633, 0, 9, 10, 11752),
+        (10, 10, 353, 1208, 31672, 138, 0, 9, 10, 2968),
+        (8, 8, 969, 3300, 86696, 260, 0, 7, 8, 8192),
+        (8, 8, 319, 1036, 27608, 125, 0, 7, 8, 2856),
+        (10, 10, 1264, 4588, 118496, 334, 0, 7, 10, 9552),
+        (8, 8, 333, 1108, 29384, 125, 0, 10, 8, 2824),
+    ],
+    "adaptive": [
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (2, 2, 0, 2, 32, 0, 0, 0, 2, 0),
+        (2, 2, 0, 10, 160, 0, 0, 0, 2, 0),
+        (4, 4, 2, 5, 112, 1, 0, 1, 4, 48),
+        (4, 4, 6, 18, 432, 3, 0, 2, 4, 104),
+        (6, 6, 3, 18, 344, 3, 0, 2, 6, 72),
+        (4, 4, 9, 22, 584, 3, 0, 2, 4, 136),
+        (4, 4, 11, 22, 632, 3, 0, 2, 4, 168),
+        (4, 4, 11, 35, 856, 6, 0, 3, 4, 168),
+        (4, 4, 87, 297, 7416, 60, 0, 9, 4, 1160),
+        (6, 6, 30, 119, 2704, 23, 0, 3, 6, 512),
+        (4, 4, 60, 105, 3360, 9, 0, 2, 4, 752),
+        (8, 8, 93, 280, 7208, 56, 0, 5, 8, 1360),
+        (6, 6, 118, 364, 9232, 53, 0, 3, 6, 1576),
+        (12, 12, 260, 751, 20240, 110, 0, 9, 12, 2824),
+        (8, 8, 463, 1314, 35328, 130, 0, 7, 8, 5224),
+        (10, 10, 289, 896, 23416, 99, 0, 9, 10, 3152),
+        (10, 10, 673, 2098, 55112, 187, 0, 9, 10, 6864),
+        (10, 10, 274, 832, 21776, 95, 0, 8, 10, 3128),
+        (8, 8, 1231, 3580, 98024, 447, 0, 8, 8, 11104),
+        (10, 10, 324, 982, 25992, 122, 0, 8, 10, 3432),
+        (10, 10, 1706, 5230, 141344, 633, 0, 9, 10, 14232),
+        (10, 10, 353, 1070, 28448, 138, 0, 9, 10, 3616),
+        (8, 8, 969, 2660, 72296, 260, 0, 7, 8, 11072),
+        (8, 8, 319, 900, 24408, 125, 0, 7, 8, 3496),
+        (10, 10, 1264, 3856, 102072, 334, 0, 7, 10, 12840),
+        (8, 8, 333, 972, 26184, 125, 0, 10, 8, 3464),
+    ],
+}
+
+
+@pytest.mark.parametrize("engine", ("frontier", "adaptive"))
+def test_frontier_golden_counters(engine, all_graphs):
+    """Frontier and adaptive reproduce every counter of the goldens."""
+    from repro.device.executor import VirtualDevice
+
+    golden = GOLDEN_FRONTIER_COUNTERS[engine]
+    assert len(golden) == len(all_graphs), "corpus drifted; recapture goldens"
+    opts = EclOptions(engine=engine)
+    for i, g in enumerate(all_graphs):
+        res = ecl_scc(g, options=opts, device=VirtualDevice(A100))
+        assert res.device.counters.snapshot() == dict(
+            zip(COUNTER_FIELDS, golden[i])
+        ), (engine, i)
 
 
 @pytest.mark.parametrize("backend", backend_names())

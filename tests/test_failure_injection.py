@@ -97,7 +97,7 @@ class TestFaultPayloads:
 
     def test_atomic_engine_attaches_payload(self):
         g = cycle_graph(40)
-        opts = EclOptions(atomic_phase2=True, max_rounds=2,
+        opts = EclOptions(engine="atomic", max_rounds=2,
                           path_compression=False)
         with pytest.raises(ConvergenceError) as exc:
             ecl_scc(g, options=opts)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro import FaultPlan, ecl_scc
 from repro.analysis.verify import fixed_point_offenders
 from repro.baselines import tarjan_scc
-from repro.bench import run_algorithm
+from repro.bench.runners import run_algorithm
 from repro.core import EclOptions
 from repro.device import A100, VirtualDevice
 from repro.distributed import block_partition, distributed_ecl_scc
@@ -48,7 +48,7 @@ from repro.trace import Tracer
 ENGINES = {
     "sync": dict(async_phase2=False),
     "async": dict(async_phase2=True),
-    "atomic": dict(atomic_phase2=True),
+    "atomic": dict(engine="atomic"),
     "frontier": dict(engine="frontier"),
     "adaptive": dict(engine="adaptive"),
 }

@@ -31,26 +31,26 @@ class TestCompactLabels:
 class TestCondense:
     def test_cycle_condenses_to_point(self):
         g = cycle_graph(5)
-        dag, dense = condense(g, tarjan_scc(g))
+        dag, dense = condense(g, tarjan_scc(g).labels)
         assert dag.num_vertices == 1
         assert dag.num_edges == 0
         assert np.all(dense == 0)
 
     def test_path_condenses_to_itself(self):
         g = path_graph(4)
-        dag, _ = condense(g, tarjan_scc(g))
+        dag, _ = condense(g, tarjan_scc(g).labels)
         assert dag.num_vertices == 4
         assert dag.num_edges == 3
 
     def test_duplicate_inter_edges_removed(self):
         # two SCCs joined by two parallel edges
         g = CSRGraph.from_edges([0, 1, 0, 0], [1, 0, 2, 2], num_vertices=3)
-        dag, _ = condense(g, tarjan_scc(g))
+        dag, _ = condense(g, tarjan_scc(g).labels)
         assert dag.num_edges == 1
 
     def test_condensation_is_acyclic(self):
         g = dag_chain_of_cliques(6, 4, seed=1)
-        dag, _ = condense(g, tarjan_scc(g))
+        dag, _ = condense(g, tarjan_scc(g).labels)
         topological_levels(dag)  # raises on a cycle
 
     def test_label_length_check(self):
@@ -84,19 +84,19 @@ class TestDagDepth:
     def test_paper_conventions(self):
         # a single SCC has depth 1 (twist-hex row of Table 2)
         g = cycle_graph(6)
-        assert dag_depth(g, tarjan_scc(g)) == 1
+        assert dag_depth(g, tarjan_scc(g).labels) == 1
 
     def test_path(self):
         g = path_graph(7)
-        assert dag_depth(g, tarjan_scc(g)) == 7
+        assert dag_depth(g, tarjan_scc(g).labels) == 7
 
     def test_ladder(self):
         g = scc_ladder(5)
-        assert dag_depth(g, tarjan_scc(g)) == 5
+        assert dag_depth(g, tarjan_scc(g).labels) == 5
 
     def test_grid(self):
         g = grid_dag(3, 4)
-        assert dag_depth(g, tarjan_scc(g)) == 6
+        assert dag_depth(g, tarjan_scc(g).labels) == 6
 
     def test_empty_graph(self):
         g = CSRGraph.empty(0)

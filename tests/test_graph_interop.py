@@ -64,7 +64,7 @@ class TestNetworkxInterop:
         d.add_edge("b", "a")
         g = from_networkx(d)
         assert g.num_vertices == 2
-        assert np.unique(tarjan_scc(g)).size == 1
+        assert np.unique(tarjan_scc(g).labels).size == 1
 
     def test_wrong_type_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -82,12 +82,12 @@ class TestThirdPartyOracles:
 
     def test_scipy_agrees_with_tarjan(self, all_graphs):
         for g in all_graphs:
-            assert np.array_equal(scipy_scc(g), tarjan_scc(g)), g
+            assert np.array_equal(scipy_scc(g), tarjan_scc(g).labels), g
 
     def test_scipy_agrees_on_powerlaw(self):
         for name in ("wikipedia", "Freescale2", "com-Youtube"):
             g, _ = build_powerlaw(name, scale=1 / 256, seed=0)
-            assert np.array_equal(scipy_scc(g), tarjan_scc(g)), name
+            assert np.array_equal(scipy_scc(g), tarjan_scc(g).labels), name
 
     def test_ecl_agrees_with_scipy(self, random_graphs):
         for g in random_graphs:
@@ -100,7 +100,7 @@ class TestThirdPartyOracles:
                 rep = max(comp)
                 for v in comp:
                     labels[v] = rep
-            assert np.array_equal(labels, kosaraju_scc(g))
+            assert np.array_equal(labels, kosaraju_scc(g).labels)
 
     def test_scipy_empty(self):
         assert scipy_scc(CSRGraph.empty(0)).size == 0

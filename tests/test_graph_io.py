@@ -139,3 +139,28 @@ class TestDimacs:
         p.write_text("p sp 2 1\nx nonsense\n")
         with pytest.raises(IOFormatError):
             read_dimacs(p)
+
+
+# malformed bodies used to leak NumPy's ValueError / IndexError
+MALFORMED = {
+    "mtx-text-entry": (
+        read_matrix_market,
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\nfoo bar\n",
+    ),
+    "mtx-one-column": (
+        read_matrix_market,
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1\n",
+    ),
+    "dimacs-text-count": (read_dimacs, "p sp abc 3\n"),
+    "dimacs-text-head": (read_dimacs, "p sp 3 1\na 1 x\n"),
+    "dimacs-short-arc": (read_dimacs, "p sp 3 1\na 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_ioformaterror(case, tmp_path):
+    reader, text = MALFORMED[case]
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(IOFormatError):
+        reader(p)

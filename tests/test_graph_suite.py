@@ -17,7 +17,7 @@ SCALE = 1 / 256  # tiny but structurally faithful
 @pytest.mark.parametrize("spec", POWER_LAW_SPECS, ids=lambda s: s.name)
 def test_planted_structure_verifies(spec):
     g, planted = build_powerlaw(spec.name, scale=SCALE, seed=0)
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     uniq, counts = np.unique(labels, return_counts=True)
     assert uniq.size == planted["num_sccs"]
     assert counts.max() == planted["largest"]
@@ -38,7 +38,7 @@ def test_giant_fraction_classes():
     """Giant-SCC fraction must match each graph's class."""
     for name, expect_giant in [("cage14", True), ("com-Youtube", False), ("wiki-Talk", False)]:
         g, _ = build_powerlaw(name, scale=SCALE, seed=0)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         _, counts = np.unique(labels, return_counts=True)
         frac = counts.max() / g.num_vertices
         if expect_giant:
@@ -49,14 +49,14 @@ def test_giant_fraction_classes():
 
 def test_youtube_is_deep_dag():
     g, _ = build_powerlaw("com-Youtube", scale=SCALE, seed=0)
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     assert np.unique(labels).size == g.num_vertices  # all trivial
     assert dag_depth(g, labels) > 20
 
 
 def test_freescale2_has_many_size2():
     g, planted = build_powerlaw("Freescale2", scale=1 / 64, seed=0)
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     _, counts = np.unique(labels, return_counts=True)
     assert int((counts == 2).sum()) == planted["size2"] > 100
 

@@ -83,7 +83,7 @@ def test_straight_grid_sweep_is_acyclic(a, b, c, ox, oy, oz):
     omega = np.asarray([ox, oy, oz]) / norm
     m = structured_hex_grid((a, b, c))
     g = build_sweep_graph(m, omega)
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     assert np.unique(labels).size == g.num_vertices
     assert g.num_edges == interior_faces(m).num_faces
 
@@ -97,5 +97,5 @@ def test_sweep_depth_bounded_by_manhattan_diameter(a, b, c):
     omega = np.asarray([0.62, 0.54, 0.57])
     omega = omega / np.linalg.norm(omega)
     g = build_sweep_graph(m, omega)
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     assert dag_depth(g, labels) <= (a - 1) + (b - 1) + (c - 1) + 1

@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import partitions_equal
-from repro.baselines import (coloring_scc, kosaraju_scc, multistep_scc, tarjan_scc, trim1, trim2, trim3)
+from repro.baselines import coloring_scc, kosaraju_scc, multistep_scc, tarjan_scc
+from repro.engine import trim1, trim2, trim3
 from repro.core import (
     ALL_OFF,
     ALL_ON,
@@ -60,19 +61,19 @@ COMMON = dict(max_examples=60, deadline=None)
 @given(digraphs())
 @settings(**COMMON)
 def test_ecl_equals_tarjan(g):
-    assert np.array_equal(ecl_scc(g).labels, tarjan_scc(g))
+    assert np.array_equal(ecl_scc(g).labels, tarjan_scc(g).labels)
 
 
 @given(sparse_digraphs())
 @settings(**COMMON)
 def test_ecl_equals_tarjan_sparse(g):
-    assert np.array_equal(ecl_scc(g).labels, tarjan_scc(g))
+    assert np.array_equal(ecl_scc(g).labels, tarjan_scc(g).labels)
 
 
 @given(digraphs(max_n=16, max_m=48))
 @settings(max_examples=30, deadline=None)
 def test_all_off_and_minmax_and_reference_agree(g):
-    truth = tarjan_scc(g)
+    truth = tarjan_scc(g).labels
     assert np.array_equal(ecl_scc(g, options=ALL_OFF).labels, truth)
     assert np.array_equal(ecl_scc_reference(g), truth)
     assert np.array_equal(minmax_scc(g).labels, truth)
@@ -81,21 +82,21 @@ def test_all_off_and_minmax_and_reference_agree(g):
 @given(digraphs())
 @settings(**COMMON)
 def test_oracles_agree(g):
-    assert np.array_equal(tarjan_scc(g), kosaraju_scc(g))
+    assert np.array_equal(tarjan_scc(g).labels, kosaraju_scc(g).labels)
 
 
 @given(digraphs(max_n=18, max_m=50))
 @settings(max_examples=40, deadline=None)
 def test_coloring_and_multistep_agree(g):
-    truth = tarjan_scc(g)
-    assert np.array_equal(coloring_scc(g)[0], truth)
-    assert np.array_equal(multistep_scc(g)[0], truth)
+    truth = tarjan_scc(g).labels
+    assert np.array_equal(coloring_scc(g).labels, truth)
+    assert np.array_equal(multistep_scc(g).labels, truth)
 
 
 @given(digraphs())
 @settings(**COMMON)
 def test_condensation_is_acyclic(g):
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     dag, dense = condense(g, labels)
     topological_levels(dag)  # raises GraphValidationError on a cycle
     # every vertex maps into the dag's vertex range
@@ -116,15 +117,15 @@ def test_labels_are_max_member_ids(g):
 @given(digraphs())
 @settings(**COMMON)
 def test_reversal_preserves_sccs(g):
-    a = tarjan_scc(g)
-    b = tarjan_scc(g.reverse_copy())
+    a = tarjan_scc(g).labels
+    b = tarjan_scc(g.reverse_copy()).labels
     assert partitions_equal(a, b)
 
 
 @given(digraphs())
 @settings(**COMMON)
 def test_dag_depth_bounds(g):
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     d = dag_depth(g, labels)
     k = np.unique(labels).size
     assert (0 if g.num_vertices == 0 else 1) <= d <= max(k, 1)
@@ -135,7 +136,7 @@ def test_dag_depth_bounds(g):
 def test_trim_soundness(g):
     """Trim-1/2 must only remove genuinely trivial/size-2 SCCs and label
     them exactly as Tarjan would."""
-    truth = tarjan_scc(g)
+    truth = tarjan_scc(g).labels
     labels = np.full(g.num_vertices, NO_VERTEX, dtype=VERTEX_DTYPE)
     active = np.ones(g.num_vertices, dtype=bool)
     dev = VirtualDevice(A100)
@@ -149,7 +150,7 @@ def test_trim_soundness(g):
 @settings(**COMMON)
 def test_trim3_soundness(g):
     """Trim-3 must only remove genuine size-3 SCCs with Tarjan's labels."""
-    truth = tarjan_scc(g)
+    truth = tarjan_scc(g).labels
     labels = np.full(g.num_vertices, NO_VERTEX, dtype=VERTEX_DTYPE)
     active = np.ones(g.num_vertices, dtype=bool)
     removed = trim3(g, active, labels, VirtualDevice(A100))
@@ -185,7 +186,7 @@ def test_phase3_never_splits_an_scc(g):
     survive.  Run one iteration manually and check."""
     if g.num_edges == 0:
         return
-    truth = tarjan_scc(g)
+    truth = tarjan_scc(g).labels
     src, dst = g.edges()
     grouping = EdgeGrouping.build(src, dst)
     sigs = Signatures.identity(g.num_vertices)
@@ -234,18 +235,18 @@ def test_frontier_fixed_point_under_edge_removal(g, seed):
     arbitrary survivor subsets — and the randomized-ID variant exercises
     the permutation_seed path on top.
     """
-    from repro.core import engine_options
+    from repro.core import EclOptions
 
     rng = np.random.default_rng(seed)
     src, dst = g.edges()
     if src.size:
         keep = rng.random(src.size) < 0.6
         g = CSRGraph.from_edges(src[keep], dst[keep], g.num_vertices)
-    dense = ecl_scc(g, options=engine_options("sync"))
-    front = ecl_scc(g, options=engine_options("frontier"))
+    dense = ecl_scc(g, options=EclOptions(engine="sync"))
+    front = ecl_scc(g, options=EclOptions(engine="frontier"))
     assert np.array_equal(front.labels, dense.labels)
     permuted = ecl_scc(
-        g, options=engine_options("frontier"),
+        g, options=EclOptions(engine="frontier"),
         randomize_ids=True, seed=seed % 97,
     )
     if g.num_vertices > 1:
@@ -258,12 +259,12 @@ def test_frontier_fixed_point_under_edge_removal(g, seed):
 def test_frontier_fixed_point_under_monotone_faults(g, seed):
     """Monotone fault presets regress signatures mid-run; the frontier's
     regressed-vertex reseeding must still converge to the dense labels."""
-    from repro.core import engine_options
+    from repro.core import EclOptions
     from repro.faults import FaultPlan
 
-    dense = ecl_scc(g, options=engine_options("sync"))
+    dense = ecl_scc(g, options=EclOptions(engine="sync"))
     faulted = ecl_scc(
-        g, options=engine_options("frontier"),
+        g, options=EclOptions(engine="frontier"),
         faults=FaultPlan.monotone(seed=seed),
     )
     assert np.array_equal(faulted.labels, dense.labels)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.analysis import scc_statistics, verify_labels
 from repro.baselines import gpu_scc, ispan_scc, tarjan_scc
-from repro.bench import run_algorithm
 from repro.core import ecl_scc
 from repro.device import A100, TITAN_V, XEON_6226R
 from repro.graph import build_powerlaw, permute_random, replicate
@@ -37,7 +37,7 @@ class TestMeshToSweepPipeline:
         assert grp.name == "beam-hex"
         assert grp.num_ordinates == 2
         for g in grp.graphs:
-            s = scc_statistics(g, tarjan_scc(g), with_depth=False)
+            s = scc_statistics(g, tarjan_scc(g).labels, with_depth=False)
             assert s.largest_scc == 1  # all-trivial class
 
 
@@ -45,17 +45,17 @@ class TestCrossAlgorithmConsistency:
     def test_all_codes_on_mesh_graph(self):
         mesh = torch_hex(2)
         _, g = sweep_graphs(mesh, 1)[0]
-        truth = tarjan_scc(g)
+        truth = tarjan_scc(g).labels
         assert np.array_equal(ecl_scc(g).labels, truth)
-        assert np.array_equal(gpu_scc(g)[0], truth)
-        assert np.array_equal(ispan_scc(g)[0], truth)
+        assert np.array_equal(gpu_scc(g).labels, truth)
+        assert np.array_equal(ispan_scc(g).labels, truth)
 
     def test_all_codes_on_powerlaw(self):
         g, _ = build_powerlaw("web-Google", scale=1 / 256, seed=1)
-        truth = tarjan_scc(g)
+        truth = tarjan_scc(g).labels
         assert np.array_equal(ecl_scc(g).labels, truth)
-        assert np.array_equal(gpu_scc(g)[0], truth)
-        assert np.array_equal(ispan_scc(g)[0], truth)
+        assert np.array_equal(gpu_scc(g).labels, truth)
+        assert np.array_equal(ispan_scc(g).labels, truth)
 
     def test_id_permutation_invariance(self):
         """SCC partitions are invariant under vertex relabelling."""
@@ -75,30 +75,30 @@ class TestPaperShapeClaims:
     def test_ecl_beats_gpuscc_on_mesh(self):
         mesh = toroid_wedge(3)
         _, g = sweep_graphs(mesh, 1)[0]
-        ecl = run_algorithm(g, "ecl-scc", A100)
-        li = run_algorithm(g, "gpu-scc", A100)
+        ecl = solve(g, "ecl-scc", device=A100)
+        li = solve(g, "gpu-scc", device=A100)
         assert ecl.model_seconds < li.model_seconds / 2
 
     def test_ecl_gpu_beats_ispan_cpu_on_mesh(self):
         mesh = toroid_wedge(3)
         _, g = sweep_graphs(mesh, 1)[0]
-        ecl = run_algorithm(g, "ecl-scc", A100)
-        isp = run_algorithm(g, "ispan", XEON_6226R)
+        ecl = solve(g, "ecl-scc", device=A100)
+        isp = solve(g, "ispan", device=XEON_6226R)
         assert ecl.model_seconds < isp.model_seconds / 10
 
     def test_competitive_on_powerlaw(self):
         """On power-law inputs the gap must be small (within ~4x either
         way), matching §5.1.3's 'on par' claim."""
         g, _ = build_powerlaw("flickr", scale=1 / 64, seed=0)
-        ecl = run_algorithm(g, "ecl-scc", A100)
-        li = run_algorithm(g, "gpu-scc", A100)
+        ecl = solve(g, "ecl-scc", device=A100)
+        li = solve(g, "gpu-scc", device=A100)
         ratio = ecl.model_seconds / li.model_seconds
         assert 0.1 < ratio < 4.0
 
     def test_a100_not_slower_than_titanv(self):
         g, _ = build_powerlaw("wikipedia", scale=1 / 128, seed=0)
-        t = run_algorithm(g, "ecl-scc", TITAN_V).model_seconds
-        a = run_algorithm(g, "ecl-scc", A100).model_seconds
+        t = solve(g, "ecl-scc", device=TITAN_V).model_seconds
+        a = solve(g, "ecl-scc", device=A100).model_seconds
         assert a <= t * 1.01
 
     def test_expanded_mesh_replication(self):

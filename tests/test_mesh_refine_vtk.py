@@ -82,7 +82,7 @@ class TestRefine:
         r = refine_uniform(m)
         _, g0 = sweep_graphs(m, 1)[0]
         _, g1 = sweep_graphs(r, 1)[0]
-        l0, l1 = tarjan_scc(g0), tarjan_scc(g1)
+        l0, l1 = tarjan_scc(g0).labels, tarjan_scc(g1).labels
         assert np.unique(l1).size == g1.num_vertices  # still all-trivial
         assert dag_depth(g1, l1) > dag_depth(g0, l0)
 

@@ -12,9 +12,9 @@ checkpoint/restore.
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.baselines import tarjan_scc
-from repro.bench import run_algorithm
-from repro.core import Signatures, ecl_scc, engine_options
+from repro.core import EclOptions, Signatures, ecl_scc
 from repro.core.propagation import EdgeGrouping
 from repro.device.executor import VirtualDevice
 from repro.device.spec import A100
@@ -165,18 +165,18 @@ def test_dense_push_labels_through_scheduler():
 class TestAdaptiveEngine:
     def test_labels_match_tarjan_and_dense(self, all_graphs):
         for g in all_graphs:
-            adaptive = ecl_scc(g, options=engine_options("adaptive"))
-            dense = ecl_scc(g, options=engine_options("async"))
+            adaptive = ecl_scc(g, options=EclOptions(engine="adaptive"))
+            dense = ecl_scc(g, options=EclOptions(engine="async"))
             assert np.array_equal(adaptive.labels, dense.labels)
-            assert np.array_equal(adaptive.labels, tarjan_scc(g))
+            assert np.array_equal(adaptive.labels, tarjan_scc(g).labels)
 
     def test_decision_log_on_result(self):
         g = random_gnm(80, 300, seed=1)
-        res = ecl_scc(g, options=engine_options("adaptive"))
+        res = ecl_scc(g, options=EclOptions(engine="adaptive"))
         assert res.decision_log is not None and len(res.decision_log) > 0
         assert all(isinstance(d, PolicyDecision) for d in res.decision_log)
         # static engines carry no log
-        assert ecl_scc(g, options=engine_options("frontier")).decision_log is None
+        assert ecl_scc(g, options=EclOptions(engine="frontier")).decision_log is None
 
     def test_adaptive_beats_or_matches_static(self):
         """The bench gate's invariant at test scale: adaptive total
@@ -186,7 +186,7 @@ class TestAdaptiveEngine:
             seconds = {}
             for engine in ("async", "frontier", "adaptive"):
                 dev = VirtualDevice(A100)
-                ecl_scc(g, options=engine_options(engine), device=dev)
+                ecl_scc(g, options=EclOptions(engine=engine), device=dev)
                 seconds[engine] = dev.estimate(
                     g.num_vertices, g.num_edges, signatures=2
                 ).total
@@ -197,7 +197,7 @@ class TestAdaptiveEngine:
         """The density scan is honest: a scanning decision moves the
         device counters (vertex work + bytes), not just Python state."""
         g = random_gnm(50, 80, seed=0)  # sparse: scheduler keeps scanning
-        res = ecl_scc(g, options=engine_options("adaptive"))
+        res = ecl_scc(g, options=EclOptions(engine="adaptive"))
         scanned = [d for d in res.decision_log if d.scanned]
         assert scanned, "expected at least one scanned decision"
         dev = VirtualDevice(A100)
@@ -346,8 +346,8 @@ class TestDecisionDeterminism:
         g = _flickr()
         logs = {}
         for backend in ("dense", "frontier"):
-            res = run_algorithm(
-                g, "ecl-scc", A100, engine="adaptive", backend=backend
+            res = solve(
+                g, "ecl-scc", device=A100, engine="adaptive", backend=backend
             )
             logs[backend] = _decision_key(res.decision_log)
         assert logs["dense"] == GOLDEN_FLICKR_DECISIONS
@@ -357,8 +357,8 @@ class TestDecisionDeterminism:
         g = _toroid_o0()
         keys = {}
         for backend in ("dense", "frontier"):
-            res = run_algorithm(
-                g, "ecl-scc", A100, engine="adaptive", backend=backend
+            res = solve(
+                g, "ecl-scc", device=A100, engine="adaptive", backend=backend
             )
             key = _decision_key(res.decision_log)
             picks: "dict[str, int]" = {}
@@ -378,9 +378,9 @@ class TestDecisionDeterminism:
         not perturb the main per-round decision sequence."""
         plan = FaultPlan.monotone(seed=5, rate=0.8)
         for g in (scc_ladder(8), random_gnm(60, 220, seed=3), _flickr()):
-            clean = run_algorithm(g, "ecl-scc", A100, engine="adaptive")
-            faulted = run_algorithm(
-                g, "ecl-scc", A100, engine="adaptive", faults=plan
+            clean = solve(g, "ecl-scc", device=A100, engine="adaptive")
+            faulted = solve(
+                g, "ecl-scc", device=A100, engine="adaptive", faults=plan
             )
             assert np.array_equal(faulted.labels, clean.labels)
             assert _decision_key(faulted.decision_log) == _decision_key(
@@ -398,9 +398,9 @@ class TestDecisionDeterminism:
         so the completed run's log matches the fault-free run's exactly
         (bit-identical labels and counters are asserted elsewhere)."""
         g = scc_ladder(10)
-        clean = run_algorithm(g, "ecl-scc", A100, engine="adaptive")
-        chaotic = run_algorithm(
-            g, "ecl-scc", A100, engine="adaptive", faults=FaultPlan.chaos(1)
+        clean = solve(g, "ecl-scc", device=A100, engine="adaptive")
+        chaotic = solve(
+            g, "ecl-scc", device=A100, engine="adaptive", faults=FaultPlan.chaos(1)
         )
         assert chaotic.fault_report.restores >= 1
         assert np.array_equal(chaotic.labels, clean.labels)
@@ -411,7 +411,7 @@ class TestDecisionDeterminism:
     def test_scheduler_events_in_trace(self):
         g = random_gnm(80, 300, seed=1)
         tr = Tracer()
-        res = run_algorithm(g, "ecl-scc", A100, engine="adaptive", tracer=tr)
+        res = solve(g, "ecl-scc", device=A100, engine="adaptive", tracer=tr)
         trace = tr.finish()
         picks = sum(
             int(ev.value) for ev in trace.events
@@ -436,7 +436,7 @@ def test_profile_folds_scheduler_picks():
 
     g = random_gnm(100, 400, seed=2)
     tr = Tracer()
-    res = run_algorithm(g, "ecl-scc", A100, engine="adaptive", tracer=tr)
+    res = solve(g, "ecl-scc", device=A100, engine="adaptive", tracer=tr)
     tr.finish()
     report = profile_run(res)
     folded: "dict[str, int]" = {}

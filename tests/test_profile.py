@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import solve
 from repro.baselines import fb_scc, gpu_scc, ispan_scc
-from repro.bench import run_algorithm
 from repro.core import ecl_scc, minmax_scc
-from repro.core.options import engine_options
+from repro.core.options import EclOptions
 from repro.device import A100, XEON_6226R, VirtualDevice
 from repro.distributed import block_partition, distributed_ecl_scc
 from repro.distributed.cluster import ClusterSpec
@@ -90,7 +90,7 @@ class TestLedger:
     def test_oracle_serial_charge_is_ledgered(self):
         g = scc_ladder(10)
         tr = Tracer()
-        rr = run_algorithm(g, "tarjan", A100, tracer=tr)
+        rr = solve(g, "tarjan", device=A100, tracer=tr)
         tr.finish()
         agg = aggregate_counters(rr.trace.launches).snapshot()
         assert agg == rr.counters
@@ -116,7 +116,7 @@ class TestAttributionSum:
         g = random_gnm(150, 500, seed=5)
         tr = Tracer()
         res = ecl_scc(
-            g, options=engine_options(engine), device=device,
+            g, options=EclOptions(engine=engine), device=device,
             backend=backend, tracer=tr,
         )
         tr.finish()
@@ -138,7 +138,7 @@ class TestAttributionSum:
         g = random_gnm(n, m, seed=seed)
         tr = Tracer()
         res = ecl_scc(
-            g, options=engine_options(engine), device=device, tracer=tr
+            g, options=EclOptions(engine=engine), device=device, tracer=tr
         )
         tr.finish()
         report = profile_run(res)
@@ -161,7 +161,7 @@ class TestAttributionSum:
         g = flickr_32()
         for plan in (FaultPlan.monotone(0), FaultPlan.chaos(0)):
             tr = Tracer()
-            rr = run_algorithm(g, "ecl-scc", A100, tracer=tr, faults=plan)
+            rr = solve(g, "ecl-scc", device=A100, tracer=tr, faults=plan)
             tr.finish()
             agg = aggregate_counters(rr.trace.launches).snapshot()
             assert agg == rr.counters  # bit-identical through crash/heal
@@ -190,7 +190,7 @@ class TestGoldenToroidHex:
 
         grp, = small_mesh_suite(names=["toroid-hex"], num_ordinates=1)
         tr = Tracer()
-        rr = run_algorithm(grp.graphs[0], "ecl-scc", A100, tracer=tr)
+        rr = solve(grp.graphs[0], "ecl-scc", device=A100, tracer=tr)
         tr.finish()
         report = profile_run(rr)
         got = {
@@ -211,7 +211,7 @@ class TestPaperClaims:
     def test_ecl_phase2_is_irregular_bandwidth_bound(self):
         g = flickr_32()
         tr = Tracer()
-        rr = run_algorithm(g, "ecl-scc", A100, tracer=tr)
+        rr = solve(g, "ecl-scc", device=A100, tracer=tr)
         tr.finish()
         report = profile_run(rr)
         phase2 = report.phase("phase2-propagate")
@@ -221,13 +221,13 @@ class TestPaperClaims:
         g = flickr_32()
         for algo in ("fb", "ispan"):
             tr = Tracer()
-            rr = run_algorithm(g, algo, A100, tracer=tr)
+            rr = solve(g, algo, device=A100, tracer=tr)
             tr.finish()
             assert profile_run(rr).binding == "launch-overhead-bound", algo
 
     def test_serial_oracle_is_serial_bound(self):
         tr = Tracer()
-        rr = run_algorithm(scc_ladder(20), "tarjan", A100, tracer=tr)
+        rr = solve(scc_ladder(20), "tarjan", device=A100, tracer=tr)
         tr.finish()
         assert profile_run(rr).binding == "serial-bound"
 
@@ -293,7 +293,7 @@ def traced_run(graph, **kwargs):
             "num_edges": graph.num_edges,
         }
     )
-    run_algorithm(graph, "ecl-scc", A100, tracer=tr, **kwargs)
+    solve(graph, "ecl-scc", device=A100, tracer=tr, **kwargs)
     return tr.finish()
 
 
@@ -432,9 +432,9 @@ class TestRecoveryLedger:
         g = flickr_32()
         plan = FaultPlan.monotone(0)
         tr = Tracer()
-        faulted = run_algorithm(g, "ecl-scc", A100, tracer=tr, faults=plan)
+        faulted = solve(g, "ecl-scc", device=A100, tracer=tr, faults=plan)
         tr.finish()
-        clean = run_algorithm(g, "ecl-scc", A100)
+        clean = solve(g, "ecl-scc", device=A100)
         # the checkpoint charges are extra, but ledger == counters holds
         agg = aggregate_counters(faulted.trace.launches).snapshot()
         assert agg == faulted.counters

@@ -1,7 +1,6 @@
 """Tests for the unified solve facade (repro.solve / repro.Solver) and
 the EclOptions.engine field it rides on."""
 
-import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -11,7 +10,7 @@ import repro
 from repro import EclOptions, Solver, solve
 from repro.bench.runners import RunResult
 from repro.core import ecl_scc
-from repro.core.options import ALL_ON, ENGINE_NAMES, engine_options, validate_engine
+from repro.core.options import ALL_ON, ENGINE_NAMES, validate_engine
 from repro.dynamic import DynamicGraph
 from repro.errors import AlgorithmError
 from repro.graph import cycle_graph, random_gnm
@@ -51,33 +50,13 @@ class TestSolve:
 
 
 class TestSolveLegacyShims:
-    def test_algo_keyword_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="algo"):
-            res = solve(G, algo="tarjan")
-        assert res.algorithm == "tarjan"
-
-    def test_algo_conflict_raises(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(AlgorithmError, match="not both"):
-                solve(G, "tarjan", algo="fb")
-
-    def test_frontier_phase2_keyword_folds_into_engine(self):
-        with pytest.warns(DeprecationWarning, match="frontier_phase2"):
-            res = solve(G, frontier_phase2=True)
-        expected = solve(G, engine="frontier")
-        assert res.model_seconds == expected.model_seconds
-        assert np.array_equal(res.labels, expected.labels)
-
-    def test_explicit_engine_wins_over_shim(self):
-        with pytest.warns(DeprecationWarning):
-            res = solve(G, engine="sync", frontier_phase2=True)
-        expected = solve(G, engine="sync")
-        assert res.model_seconds == expected.model_seconds
-
     def test_unknown_keyword_raises_typeerror(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             solve(G, fronteir_phase2=True)  # typo must not pass silently
+        # the removed spellings are unknown keywords too
+        for legacy in ({"algo": "tarjan"}, {"frontier_phase2": True}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                solve(G, **legacy)
 
 
 # ----------------------------------------------------------------------
@@ -125,37 +104,9 @@ class TestEngineField:
     def test_default_engine_derives_from_ablation_flags(self):
         assert ALL_ON.phase2_engine == "async"
         assert EclOptions(async_phase2=False).phase2_engine == "sync"
-        assert EclOptions(atomic_phase2=True).phase2_engine == "atomic"
         # an explicit engine overrides the flags
-        assert EclOptions(atomic_phase2=True, engine="sync").phase2_engine == "sync"
-
-    def test_engine_options_is_a_thin_shim(self):
-        opts = engine_options("frontier")
-        assert opts.engine == "frontier"
-        base = EclOptions(path_compression=False)
-        derived = engine_options("atomic", base)
-        assert derived.engine == "atomic"
-        assert derived.path_compression is False
-
-    def test_engine_options_rejects_unknown_names(self):
-        with pytest.raises(AlgorithmError, match="valid choices"):
-            engine_options("nope")
+        assert EclOptions(async_phase2=False, engine="atomic").phase2_engine == "atomic"
 
     def test_validate_engine_passthrough(self):
         for name in ENGINE_NAMES:
             assert validate_engine(name) == name
-
-    def test_constructor_bool_shim_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="frontier_phase2"):
-            opts = EclOptions(frontier_phase2=True)
-        assert opts.engine == "frontier"
-        with pytest.warns(DeprecationWarning):
-            off = EclOptions(frontier_phase2=False)
-        assert off.engine == ""
-
-    def test_property_read_shim_warns(self):
-        opts = engine_options("frontier")
-        with pytest.warns(DeprecationWarning, match="phase2_engine"):
-            assert opts.frontier_phase2 is True
-        with pytest.warns(DeprecationWarning):
-            assert ALL_ON.frontier_phase2 is False

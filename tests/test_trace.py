@@ -18,7 +18,7 @@ from repro.baselines import (
     multistep_scc,
     tarjan_scc,
 )
-from repro.bench import run_algorithm
+from repro.bench.runners import run_algorithm
 from repro.core import ecl_scc, minmax_scc
 from repro.device import A100
 from repro.distributed import block_partition, distributed_ecl_scc
@@ -268,8 +268,8 @@ class TestBaselineTraces:
         trace = tr.finish()
         assert res.trace is trace
         assert trace.count_spans(span) >= 1
-        truth = tarjan_scc(g)
-        assert np.array_equal(np.asarray(res), np.asarray(truth))
+        truth = tarjan_scc(g).labels
+        assert np.array_equal(res.labels, truth)
 
 
 class TestDistributedTrace:
