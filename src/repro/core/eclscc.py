@@ -37,7 +37,7 @@ from ..faults.plan import FaultPlan
 from ..faults.recovery import CheckpointStore, heal_labels
 from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
-from ..results import AlgoResult, Status
+from ..results import AlgoResult, Status, count_sccs
 from ..trace import Tracer, ensure_tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .options import ALL_ON, EclOptions
@@ -459,10 +459,9 @@ def ecl_scc(
                     )
         status = injector.status()
         report = injector.report
-    num_sccs = int(np.unique(labels).size)
     return EclResult(
         labels=labels,
-        num_sccs=num_sccs,
+        num_sccs=count_sccs(labels),
         outer_iterations=outer,
         propagation_rounds=total_rounds,
         kernel_launches=device.counters.kernel_launches,

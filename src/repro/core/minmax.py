@@ -35,6 +35,7 @@ from ..engine.accounting import QUAD_SIGNATURE_EDGE_BYTES
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
+from ..results import count_sccs
 from ..trace import Tracer, ensure_tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .eclscc import EclResult
@@ -207,7 +208,7 @@ def minmax_scc(
     labels = normalize_labels_to_max(labels)
     return EclResult(
         labels=labels,
-        num_sccs=int(np.unique(labels).size),
+        num_sccs=count_sccs(labels),
         outer_iterations=outer,
         propagation_rounds=total_rounds,
         kernel_launches=device.counters.kernel_launches,

@@ -60,7 +60,7 @@ from ..engine.primitives import build_vertex_incidence
 from ..engine.scheduler import AdaptiveScheduler
 from ..errors import ConvergenceError
 from ..trace import NULL_TRACER, Tracer
-from ..types import VERTEX_DTYPE
+from ..types import VERTEX_DTYPE, sorted_unique
 from .options import EclOptions
 from .signatures import Signatures
 from .worklist import VertexFrontier
@@ -101,7 +101,7 @@ class EdgeGrouping:
         group_s, starts_s = np.unique(src[order_s], return_index=True)
         order_d = np.argsort(dst, kind="stable")
         group_d, starts_d = np.unique(dst[order_d], return_index=True)
-        touched = np.union1d(group_s, group_d)
+        touched = sorted_unique(np.concatenate([group_s, group_d]))
         return cls(
             src=src,
             dst=dst,
@@ -213,7 +213,7 @@ class BlockPartition:
 
     @classmethod
     def build(cls, src: np.ndarray, dst: np.ndarray, bounds: np.ndarray) -> "BlockPartition":
-        bounds = np.unique(np.asarray(bounds, dtype=np.int64))
+        bounds = sorted_unique(np.asarray(bounds, dtype=np.int64))
         if bounds.size < 2:
             bounds = np.asarray([0, src.size], dtype=np.int64)
         return cls(
@@ -489,7 +489,10 @@ def propagate_frontier(
     Model: one kernel compacts the invalidation flags into a vertex
     worklist (one atomic slot claim per seed vertex), then a single
     persistent kernel drains it — each in-kernel round gathers the edges
-    incident to the current frontier, scatter-maxes both signature
+    incident to the current frontier, each exactly once and without a
+    sort or dedup (:func:`~repro.engine.primitives.incident_edges`: out-
+    buckets of frontier vertices, plus in-buckets filtered to sources
+    outside the frontier), scatter-maxes both signature
     directions over exactly those edges, applies pointer jumping and
     signature feedback restricted to the touched endpoints, and enqueues
     every vertex whose signature rose into the next frontier
@@ -529,7 +532,7 @@ def propagate_frontier(
     cannot perturb the main rounds' decision sequence.
     """
     bound = opts.rounds_bound(num_vertices)
-    indptr, edge_ids = build_vertex_incidence(grouping.src, grouping.dst, num_vertices)
+    out_ptr, in_ptr = build_vertex_incidence(grouping.src, grouping.dst, num_vertices)
     frontier = VertexFrontier.seeded(seed, num_vertices)
     charge_frontier_compaction(
         dev, backend, num_vertices=num_vertices, frontier_size=frontier.size,
@@ -554,9 +557,10 @@ def propagate_frontier(
     state = RoundState(
         sigs=sigs,
         grouping=grouping,
-        indptr=indptr,
-        edge_ids=edge_ids,
+        out_ptr=out_ptr,
+        in_ptr=in_ptr,
         frontier=frontier.vertices,
+        frontier_mask=frontier.mask,
         num_vertices=num_vertices,
         compress=opts.path_compression,
     )
@@ -564,6 +568,7 @@ def propagate_frontier(
         rounds += 1
         _bounds_check(rounds, bound, "propagate_frontier", sigs)
         state.frontier = frontier.vertices
+        state.frontier_mask = frontier.mask
         if scheduler is None:
             tracer.counter("relaxation-round", engine="frontier")
             changed_v = policy.run_round(state, dev)
@@ -571,7 +576,8 @@ def propagate_frontier(
             policy = scheduler.decide(
                 dev,
                 frontier=frontier.vertices,
-                indptr=indptr,
+                out_ptr=out_ptr,
+                in_ptr=in_ptr,
                 worklist_edges=grouping.num_edges,
                 touched=grouping.touched.size,
                 num_vertices=num_vertices,

@@ -64,30 +64,44 @@ class VertexFrontier:
     """Double-buffered *vertex* worklist for the frontier Phase-2 engine.
 
     The front buffer holds the unique, sorted ids of vertices whose
-    signatures changed last round; :meth:`advance` compacts the changed
-    flags into the back buffer and swaps, mirroring
-    :class:`DoubleBufferWorklist`'s pointer-swap discipline over vertices
-    instead of edges.
+    signatures changed last round, and ``mask`` is its ``num_vertices``
+    membership mask; the round's gather reads the mask to take each
+    frontier-incident edge exactly once
+    (:func:`~repro.engine.primitives.incident_edges`).  :meth:`advance`
+    compacts the changed flags into the back buffer and swaps, mirroring
+    :class:`DoubleBufferWorklist`'s pointer-swap discipline over
+    vertices instead of edges.
     """
 
     vertices: np.ndarray
+    mask: np.ndarray
     generation: int = 0
 
     @classmethod
     def seeded(cls, seed: np.ndarray, num_vertices: int) -> "VertexFrontier":
-        """Initial frontier from the invalidated-vertex seed set."""
+        """Initial frontier from the invalidated-vertex seed set.
+
+        The seed is scattered into a zero mask and compacted, which
+        sorts and deduplicates it without a sort.
+        """
         seed = np.asarray(seed, dtype=np.int64)
         if seed.size and (seed.min() < 0 or seed.max() >= num_vertices):
             raise AlgorithmError("frontier seed contains out-of-range vertex ids")
-        return cls(vertices=np.unique(seed))
+        mask = np.zeros(num_vertices, dtype=bool)
+        mask[seed] = True
+        return cls(vertices=np.flatnonzero(mask), mask=mask)
 
     @property
     def size(self) -> int:
         return self.vertices.size
 
     def advance(self, changed: np.ndarray) -> None:
-        """Compact the changed-vertex flags into the back buffer and swap."""
-        self.vertices = np.flatnonzero(changed).astype(np.int64, copy=False)
+        """Compact the changed-vertex flags into the back buffer and swap.
+
+        *changed* becomes the new ``mask`` (kept, not copied).
+        """
+        self.vertices = np.flatnonzero(changed)
+        self.mask = changed
         self.generation += 1
 
 

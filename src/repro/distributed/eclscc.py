@@ -29,7 +29,7 @@ from ..faults.inject import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.recovery import backoff_seconds
 from ..graph.csr import CSRGraph
-from ..results import AlgoResult, Status
+from ..results import AlgoResult, Status, count_sccs
 from ..trace import Tracer, ensure_tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .cluster import ClusterSpec, VirtualCluster
@@ -368,7 +368,7 @@ def distributed_ecl_scc(
 
     return DistributedResult(
         labels=labels,
-        num_sccs=int(np.unique(labels).size),
+        num_sccs=count_sccs(labels),
         outer_iterations=outer,
         supersteps=supersteps,
         cluster=cluster,

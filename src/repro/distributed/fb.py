@@ -18,6 +18,7 @@ from ..engine import get_backend
 from ..engine.primitives import frontier_expand
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
+from ..results import count_sccs
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .cluster import ClusterSpec, VirtualCluster
 from .eclscc import DistributedResult
@@ -154,7 +155,7 @@ def distributed_fbtrim(
     assert not np.any(labels == NO_VERTEX)
     return DistributedResult(
         labels=labels,
-        num_sccs=int(np.unique(labels).size),
+        num_sccs=count_sccs(labels),
         outer_iterations=fb_rounds,
         supersteps=supersteps,
         cluster=cluster,

@@ -80,7 +80,7 @@ from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
 from ..results import AlgoResult, count_sccs
 from ..trace import Tracer, ensure_tracer
-from ..types import VERTEX_DTYPE, as_vertex_array
+from ..types import VERTEX_DTYPE, as_vertex_array, sorted_unique
 from .unionfind import UnionFind
 
 __all__ = ["DynamicGraph", "UpdateReport", "DynamicCheckpoint"]
@@ -647,7 +647,7 @@ class DynamicGraph:
         """
         n = graph.num_vertices
         visited = np.zeros(n, dtype=bool)
-        frontier = np.unique(sources)
+        frontier = sorted_unique(sources)
         if active is not None:
             frontier = frontier[active[frontier]]
         visited[frontier] = True
@@ -670,7 +670,7 @@ class DynamicGraph:
             mask = ~visited[neighbors]
             if active is not None:
                 mask &= active[neighbors]
-            new = np.unique(neighbors[mask])
+            new = sorted_unique(neighbors[mask])
             visited[new] = True
             charge_frontier_round(
                 self._device,

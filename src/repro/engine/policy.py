@@ -80,15 +80,22 @@ class RoundState:
     #: Signatures-like object exposing ``sig_in``/``sig_out`` arrays.
     sigs: object
     #: EdgeGrouping-like object over the current edge worklist
-    #: (``src``/``dst``/``touched``/``num_edges``/``relax_masked``).
+    #: (``src``/``dst``/``order_by_src``/``order_by_dst``/``touched``/
+    #: ``num_edges``/``relax_masked``).
     grouping: object
-    #: vertex-incidence CSR of the worklist (each edge under both
-    #: endpoints), from
-    #: :func:`~repro.engine.primitives.build_vertex_incidence`.
-    indptr: np.ndarray
-    edge_ids: np.ndarray
+    #: per-direction incidence offsets of the worklist, from
+    #: :func:`~repro.engine.primitives.build_vertex_incidence`: vertex
+    #: v's out-bucket is ``grouping.order_by_src[out_ptr[v]:out_ptr[v+1]]``,
+    #: its in-bucket the same slice of ``order_by_dst`` under ``in_ptr``.
+    out_ptr: np.ndarray
+    in_ptr: np.ndarray
     #: sorted unique ids of vertices whose signatures changed last round.
     frontier: np.ndarray
+    #: ``num_vertices`` membership mask of ``frontier``; the gather's
+    #: "source in the frontier" test reads it, so every frontier-incident
+    #: edge is taken exactly once
+    #: (:func:`~repro.engine.primitives.incident_edges`).
+    frontier_mask: np.ndarray
     num_vertices: int
     #: apply the paper's path-compression refinements this round.
     compress: bool
@@ -98,11 +105,12 @@ class RoundState:
 class RoundStats:
     """Backend-invariant inputs of one scheduling decision.
 
-    ``degree_sum`` is the incidence-degree sum over the frontier; the
-    incidence structure lists every edge under both endpoints, so it
-    overcounts the unique incident edges a push round actually gathers
-    by at most 2x — a deliberate conservative bias toward the dense
-    policy (documented in ``docs/performance_model.md``).
+    ``degree_sum`` is the incidence-degree sum over the frontier (out-
+    plus in-degree, a self-loop counted twice); it counts an edge under
+    both endpoints, so it overcounts the unique incident edges a push
+    round actually gathers by at most 2x — a deliberate conservative
+    bias toward the dense policy (documented in
+    ``docs/performance_model.md``).
     """
 
     frontier_size: int
@@ -266,7 +274,11 @@ class FrontierPushPolicy(PropagationPolicy):
     direction = "push"
 
     def _select_edges(self, state: RoundState) -> np.ndarray:
-        return incident_edges(state.indptr, state.edge_ids, state.frontier)
+        g = state.grouping
+        return incident_edges(
+            state.frontier, state.frontier_mask, g.src,
+            state.out_ptr, g.order_by_src, state.in_ptr, g.order_by_dst,
+        )
 
     def run_round(self, state: RoundState, dev) -> np.ndarray:
         idx = self._select_edges(state)

@@ -652,43 +652,64 @@ def build_vertex_incidence(
     dst: np.ndarray,
     num_vertices: int,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """CSR-style incidence index: vertex -> ids of edges touching it.
+    """Per-direction incidence offsets: vertex -> its out- and in-bucket.
 
-    Each edge id appears once under its source and once under its
-    destination (a self-loop appears twice), so gathering a vertex
-    frontier's buckets yields every edge a signature change at those
-    vertices could re-relax.  Returns ``(indptr, edge_ids)`` with
-    ``indptr`` of length ``num_vertices + 1``.  Built once per Phase-3
-    compaction by the frontier engine (charged by the caller as part of
-    the compaction pass).
+    Returns ``(out_ptr, in_ptr)``, each of length ``num_vertices + 1``.
+    Vertex v's out-bucket is ``order_by_src[out_ptr[v]:out_ptr[v + 1]]``
+    and its in-bucket ``order_by_dst[in_ptr[v]:in_ptr[v + 1]]``, where
+    ``order_by_src``/``order_by_dst`` are the stable sorts of the edge
+    ids by source and by destination that
+    :class:`~repro.core.propagation.EdgeGrouping` already holds, so the
+    offsets cost two ``bincount`` + ``cumsum`` passes and no sort.
+    ``out_ptr + in_ptr`` is the incidence-degree prefix sum (a self-loop
+    counted twice) the adaptive scheduler's density scan reads.  Built
+    once per Phase-3 compaction by the frontier engine (charged by the
+    caller as part of the compaction pass).
     """
-    endpoints = np.concatenate([src, dst])
-    eids = np.concatenate([np.arange(src.size), np.arange(dst.size)])
-    order = np.argsort(endpoints, kind="stable")
-    counts = np.bincount(endpoints, minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, eids[order]
+    out_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=out_ptr[1:])
+    in_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=num_vertices), out=in_ptr[1:])
+    return out_ptr, in_ptr
 
 
-def incident_edges(
-    indptr: np.ndarray,
-    edge_ids: np.ndarray,
-    frontier: np.ndarray,
+def _gather_buckets(
+    ptr: np.ndarray, ids: np.ndarray, vertices: np.ndarray
 ) -> np.ndarray:
-    """Unique ids of edges incident to the *frontier* vertices.
-
-    The frontier engine's per-round gather: expand each frontier
-    vertex's incidence bucket and deduplicate (an edge whose endpoints
-    are both in the frontier is relaxed once, not twice).
-    """
-    if frontier.size == 0:
-        return np.empty(0, dtype=np.int64)
-    counts = indptr[frontier + 1] - indptr[frontier]
+    """Concatenated buckets ``ids[ptr[v]:ptr[v + 1]]`` of *vertices*."""
+    starts = ptr[vertices]
+    counts = ptr[vertices + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(indptr[frontier], counts)
-    ids = np.arange(total, dtype=np.int64)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.unique(edge_ids[offsets + (ids - resets)])
+    # slot j of vertex k's run reads ids[starts[k] + j]
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return ids[shift + np.arange(total, dtype=np.int64)]
+
+
+def incident_edges(
+    frontier: np.ndarray,
+    frontier_mask: np.ndarray,
+    src: np.ndarray,
+    out_ptr: np.ndarray,
+    order_by_src: np.ndarray,
+    in_ptr: np.ndarray,
+    order_by_dst: np.ndarray,
+) -> np.ndarray:
+    """Ids of the edges incident to the *frontier* vertices, each once.
+
+    The frontier engine's per-round gather, sort- and dedup-free.
+    *frontier* is duplicate-free and *frontier_mask* is its membership
+    mask.  The gather takes every edge in the out-bucket of each
+    frontier vertex, plus every edge in the in-bucket of each frontier
+    vertex whose source is *not* in the frontier; an edge with both
+    endpoints in the frontier therefore comes once, from its source's
+    out-bucket, and so does a self-loop.  Parallel edges keep their
+    distinct ids.  The result is the set ``np.unique`` of both buckets
+    would give, in bucket order; the scatter-max round that consumes it
+    does not depend on order.  Buckets are those of
+    :func:`build_vertex_incidence`.
+    """
+    out_e = _gather_buckets(out_ptr, order_by_src, frontier)
+    in_e = _gather_buckets(in_ptr, order_by_dst, frontier)
+    return np.concatenate([out_e, in_e[~frontier_mask[src[in_e]]]])

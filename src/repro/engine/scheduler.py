@@ -183,7 +183,8 @@ class AdaptiveScheduler:
         dev,
         *,
         frontier: np.ndarray,
-        indptr: np.ndarray,
+        out_ptr: np.ndarray,
+        in_ptr: np.ndarray,
         worklist_edges: int,
         touched: int,
         num_vertices: int,
@@ -192,7 +193,13 @@ class AdaptiveScheduler:
         round_no: int,
         recovery: bool = False,
     ) -> PropagationPolicy:
-        """Pick the policy for one round; charge and record the decision."""
+        """Pick the policy for one round; charge and record the decision.
+
+        *out_ptr*/*in_ptr* are the worklist's per-direction incidence
+        offsets (:func:`~repro.engine.primitives.build_vertex_incidence`);
+        the density scan sums both over the frontier, so ``degree_sum``
+        is each frontier vertex's out- plus in-degree.
+        """
         if recovery:
             decision = PolicyDecision(
                 outer=outer,
@@ -234,7 +241,8 @@ class AdaptiveScheduler:
             picked = get_policy("frontier")
         else:
             degree_sum = int(
-                (indptr[frontier + 1] - indptr[frontier]).sum()
+                (out_ptr[frontier + 1] - out_ptr[frontier]).sum()
+                + (in_ptr[frontier + 1] - in_ptr[frontier]).sum()
             )
             charge_scheduler_scan(dev, frontier_size=frontier.size)
             stats = RoundStats(

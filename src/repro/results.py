@@ -21,6 +21,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .types import sorted_unique
+
 __all__ = ["AlgoResult", "Status", "count_sccs"]
 
 
@@ -55,8 +57,7 @@ class Status(str, enum.Enum):
 
 def count_sccs(labels: np.ndarray) -> int:
     """Number of distinct SCC labels (0 for an empty labelling)."""
-    labels = np.asarray(labels)
-    return int(np.unique(labels).size) if labels.size else 0
+    return int(sorted_unique(labels).size)
 
 
 @dataclass(eq=False)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ALL_ON,
@@ -15,7 +16,7 @@ from repro.core import (
     propagate_sync,
 )
 from repro.device import A100, VirtualDevice
-from repro.engine import get_backend
+from repro.engine import build_vertex_incidence, get_backend, incident_edges
 from repro.errors import AlgorithmError, ConvergenceError
 from repro.graph import cycle_graph, path_graph, permute_random
 
@@ -202,11 +203,80 @@ class TestFrontierEngine:
         assert dev.counters.blocks_scheduled <= 2 * cap
 
 
+def gather(src, dst, n, frontier_ids):
+    """Run the frontier gather over edges (src, dst) from *frontier_ids*."""
+    grouping = EdgeGrouping.build(src, dst)
+    out_ptr, in_ptr = build_vertex_incidence(src, dst, n)
+    frontier = VertexFrontier.seeded(np.asarray(frontier_ids, dtype=np.int64), n)
+    return incident_edges(
+        frontier.vertices, frontier.mask, src,
+        out_ptr, grouping.order_by_src, in_ptr, grouping.order_by_dst,
+    )
+
+
+def assert_exact_once(src, dst, n, frontier_ids):
+    """The gather equals the brute-force incident set, with no repeats."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    got = gather(src, dst, n, frontier_ids)
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(frontier_ids, dtype=np.int64)] = True
+    ref = np.flatnonzero(mask[src] | mask[dst])
+    assert got.dtype == np.int64
+    assert np.unique(got).size == got.size, "an edge id was gathered twice"
+    assert np.array_equal(np.sort(got), ref)
+
+
+class TestIncidentEdges:
+    #: (src, dst, num_vertices, frontier); in the isolated-* graphs
+    #: vertices 3-5 have no edges
+    CASES = {
+        "self-loops": ([0, 1, 1, 2], [0, 1, 2, 2], 4, [1, 2]),
+        "parallel-edges": ([0, 0, 0, 1, 1], [1, 1, 1, 0, 0], 3, [0]),
+        "parallel-both-ends": ([0, 0, 1, 1], [1, 1, 0, 0], 2, [0, 1]),
+        "isolated-vertex": ([0, 1, 2], [1, 2, 0], 6, [5]),
+        "isolated-and-live": ([0, 1, 2], [1, 2, 0], 6, [1, 5]),
+        "empty-frontier": ([0, 1, 2, 2], [1, 2, 0, 2], 3, []),
+        "full-frontier": ([0, 1, 2, 2, 0], [1, 2, 0, 2, 1], 3, [0, 1, 2]),
+        "both-endpoints": ([0, 1, 2, 3], [1, 2, 3, 0], 4, [0, 1]),
+        "no-edges": ([], [], 3, [0, 2]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_brute_force(self, case):
+        assert_exact_once(*self.CASES[case])
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=40,
+                ),
+                st.lists(st.integers(0, n - 1), max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_multigraphs(self, drawn):
+        n, edges, frontier = drawn
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        assert_exact_once(src, dst, n, frontier)
+
+
 class TestVertexFrontier:
     def test_seeded_dedups_and_sorts(self):
         f = VertexFrontier.seeded(np.array([3, 1, 3, 2]), 5)
         assert f.vertices.tolist() == [1, 2, 3]
         assert f.size == 3 and f.generation == 0
+        assert f.mask.shape == (5,)
+        assert np.array_equal(np.flatnonzero(f.mask), f.vertices)
+
+    def test_seeded_empty(self):
+        f = VertexFrontier.seeded(np.empty(0, dtype=np.int64), 3)
+        assert f.size == 0 and not f.mask.any()
 
     def test_seeded_rejects_out_of_range(self):
         with pytest.raises(AlgorithmError):
@@ -221,8 +291,10 @@ class TestVertexFrontier:
         assert f.vertices.tolist() == [1, 3]
         assert f.vertices.dtype == np.int64
         assert f.generation == 1
+        assert np.array_equal(np.flatnonzero(f.mask), f.vertices)
         f.advance(np.zeros(4, dtype=bool))
         assert f.size == 0 and f.generation == 2
+        assert f.mask.shape == (4,) and not f.mask.any()
 
 
 class TestSafetyBounds:

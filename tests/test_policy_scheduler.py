@@ -101,11 +101,12 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
     src, dst = graph.edges()
     sigs = Signatures.identity(n)
     grouping = EdgeGrouping.build(src, dst)
-    indptr, edge_ids = build_vertex_incidence(src, dst, n)
+    out_ptr, in_ptr = build_vertex_incidence(src, dst, n)
     dev = VirtualDevice(A100)
     state = RoundState(
-        sigs=sigs, grouping=grouping, indptr=indptr, edge_ids=edge_ids,
-        frontier=np.arange(n, dtype=np.int64), num_vertices=n,
+        sigs=sigs, grouping=grouping, out_ptr=out_ptr, in_ptr=in_ptr,
+        frontier=np.arange(n, dtype=np.int64),
+        frontier_mask=np.ones(n, dtype=bool), num_vertices=n,
         compress=compress,
     )
     for rounds in range(3 * n + 16):
@@ -114,6 +115,7 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
         policy = get_policy(schedule(rounds))
         changed_v = policy.run_round(state, dev)
         state.frontier = np.flatnonzero(changed_v)
+        state.frontier_mask = changed_v
     else:
         pytest.fail("no fixed point within the round bound")
     return state.sigs
@@ -205,7 +207,8 @@ class TestAdaptiveEngine:
         before = dev.counters.snapshot()
         sched.decide(
             dev, frontier=np.array([0, 1]),
-            indptr=np.zeros(9, dtype=np.int64), worklist_edges=8,
+            out_ptr=np.zeros(9, dtype=np.int64),
+            in_ptr=np.zeros(9, dtype=np.int64), worklist_edges=8,
             touched=8, num_vertices=8, compress=True, outer=1, round_no=1,
         )
         after = dev.counters.snapshot()
@@ -223,7 +226,8 @@ class TestSchedulerUnit:
         n = sched.num_vertices
         return sched.decide(
             dev, frontier=frontier,
-            indptr=np.zeros(n + 1, dtype=np.int64),
+            out_ptr=np.zeros(n + 1, dtype=np.int64),
+            in_ptr=np.zeros(n + 1, dtype=np.int64),
             worklist_edges=4, touched=4, num_vertices=n, compress=False,
             outer=1, round_no=round_no, recovery=recovery,
         )

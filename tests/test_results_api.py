@@ -62,6 +62,18 @@ class TestLegacyCallSites:
     def test_count_sccs_empty(self):
         assert count_sccs(np.empty(0, dtype=np.int64)) == 0
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([7, 2, 9, 2, 7, 7, 0, 9, 4]),  # unsorted, not max-normalized
+            np.array([3, 3, 1, 5, 1, 0], dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+        ],
+        ids=["unsorted-noncanonical", "int32", "empty"],
+    )
+    def test_count_sccs_matches_np_unique(self, labels):
+        assert count_sccs(labels) == np.unique(labels).size
+
 
 class TestStatusEnum:
     """The Status enum is string-compatible with the old literals."""
