@@ -34,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .bench import gates
+
 __all__ = ["main", "build_parser"]
 
 
@@ -202,12 +204,9 @@ def _bench_smoke(args: argparse.Namespace) -> int:
     cost-model estimate and kernel counters per (algorithm, graph) cell.
     CI uses it to confirm the engine refactor keeps the accounting live.
 
-    With ``--baseline PATH`` the run additionally compares against a
-    previously-written smoke JSON: ``num_sccs`` must match exactly on
-    every shared (algorithm, graph) cell, and ecl-scc ``model_seconds``
-    must not regress by more than ``--tolerance`` (default 5%) on any
-    graph.  A violation prints the offending cells and exits nonzero —
-    the CI bench-regression gate.
+    With ``--baseline PATH`` the run is gated by :mod:`repro.bench.gates`
+    (the CI bench-regression job: ``--engine frontier`` against
+    ``BENCH_smoke.json``).
     """
     import json
 
@@ -301,56 +300,14 @@ def _bench_smoke(args: argparse.Namespace) -> int:
         print(f"smoke results written to {args.json} ({len(rows)} cells)")
     else:
         print(text)
-    baseline = getattr(args, "baseline", None)
-    if baseline:
-        return _bench_compare(rows, baseline, getattr(args, "tolerance", 0.05))
+    if args.baseline:
+        return gates.check(payload, args.baseline)
     return 0
 
 
 #: engines compared by ``repro bench engines`` (dense "async", static
 #: frontier, and the adaptive per-round scheduler on top of both).
 _ENGINE_MATRIX = ("async", "frontier", "adaptive")
-
-
-def _engine_matrix_failures(
-    rows: "list[dict]", engine_tolerance: float = 0.02
-) -> "list[str]":
-    """Engine-matrix gate over rows carrying an ``engine`` key.
-
-    Two rules, applied per graph: every engine must report the same
-    ``num_sccs`` (engines select *how* to propagate, never *what* is
-    computed), and the adaptive engine's ``model_seconds`` must not
-    exceed the best static engine's by more than *engine_tolerance*
-    (default 2%) — the scheduler pays for its density scans, so it is
-    allowed epsilon, not a free pass.  Returns failure strings (empty
-    on pass); rows without an ``engine`` key are ignored so the gate
-    composes with the smoke rows.
-    """
-    by_graph: "dict[str, dict[str, dict]]" = {}
-    for r in rows:
-        if "engine" in r and "num_sccs" in r:
-            by_graph.setdefault(r["graph"], {})[r["engine"]] = r
-    failures = []
-    for gname, cells in by_graph.items():
-        sccs = {e: r["num_sccs"] for e, r in cells.items()}
-        if len(set(sccs.values())) > 1:
-            failures.append(f"{gname}: num_sccs differs across engines: {sccs}")
-        ad = cells.get("adaptive")
-        static = {
-            e: r["model_seconds"] for e, r in cells.items() if e != "adaptive"
-        }
-        if ad is None or not static:
-            continue
-        best_engine = min(static, key=static.get)
-        best = static[best_engine]
-        if ad["model_seconds"] > best * (1.0 + engine_tolerance):
-            failures.append(
-                f"{gname}: adaptive model_seconds"
-                f" {ad['model_seconds']:.3e}s exceeds best static engine"
-                f" ({best_engine}, {best:.3e}s)"
-                f" by more than +{engine_tolerance:.0%}"
-            )
-    return failures
 
 
 def _bench_engines(args: argparse.Namespace) -> int:
@@ -360,14 +317,10 @@ def _bench_engines(args: argparse.Namespace) -> int:
     shared 27-graph corpus (:func:`repro.graph.suite.engine_corpus` —
     the same graphs the test suite's fixtures use), verifies every cell
     against Tarjan, and asserts on the spot that all engines produce
-    bit-identical labels per graph.  The gate
-    (:func:`_engine_matrix_failures`) then requires cross-engine
-    ``num_sccs`` agreement and adaptive within ``--engine-tolerance``
-    of the best static engine on every workload.  ``--json`` writes
-    the matrix (the committed ``BENCH_pr7.json`` baseline format);
-    ``--decisions`` dumps the adaptive scheduler's full per-round
-    decision log per graph (the CI artifact); ``--baseline`` compares
-    against a committed matrix with the smoke gate's rules on top.
+    bit-identical labels per graph.  ``--json`` writes the matrix (the
+    committed ``BENCH_engines.json`` baseline); ``--decisions`` dumps
+    the adaptive scheduler's full per-round decision log per graph (the
+    CI artifact).  :mod:`repro.bench.gates` then gates the run.
     """
     import json
 
@@ -426,251 +379,28 @@ def _bench_engines(args: argparse.Namespace) -> int:
                   for e in _ENGINE_MATRIX
               )
               + f"  {pick_str}")
+    payload = {
+        "device": dev.name,
+        "backend": args.backend or "dense",
+        "engines": list(_ENGINE_MATRIX),
+        "results": rows,
+    }
     if args.json:
-        payload = {
-            "device": dev.name,
-            "backend": args.backend or "dense",
-            "engines": list(_ENGINE_MATRIX),
-            "results": rows,
-        }
         Path(args.json).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
         print(f"engine matrix written to {args.json} ({len(rows)} cells)")
-    if getattr(args, "decisions", None):
+    if args.decisions:
         Path(args.decisions).write_text(
             json.dumps(decision_logs, indent=2, sort_keys=True) + "\n"
         )
         print(f"decision logs written to {args.decisions}"
               f" ({len(decision_logs)} graphs)")
-    tol = getattr(args, "engine_tolerance", 0.02)
-    baseline = getattr(args, "baseline", None)
-    if baseline:
-        # the smoke gate's comparison rules (num_sccs + model_seconds vs
-        # the committed matrix) — it folds the engine gate in itself
-        return _bench_compare(
-            rows, baseline, getattr(args, "tolerance", 0.05),
-            engine_tolerance=tol,
-        )
-    failures = _engine_matrix_failures(rows, tol)
-    if failures:
-        print("engine-matrix gate: FAIL")
-        for f in failures:
-            print(f"  {f}")
-        return 1
-    print(f"engine-matrix gate: pass"
-          f" (adaptive within +{tol:.0%} of best static everywhere)")
-    return 0
-
-
-def _bench_compare(rows: "list[dict]", baseline: str, tolerance: float,
-                   *, engine_tolerance: float = 0.02) -> int:
-    """Gate the smoke/engine rows against a committed baseline JSON.
-
-    ``num_sccs`` must match exactly on every shared cell (an engine or
-    backend must never change *what* is computed); ecl-scc
-    ``model_seconds`` must not exceed baseline x (1 + tolerance) on any
-    graph.  ``dynamic-replay`` rows must additionally keep incremental
-    maintenance cheaper than full recompute (``model_seconds <
-    recompute_seconds``) — the crossover guarantee of repro.dynamic.
-    Rows carrying an ``engine`` key (the ``bench engines`` matrix) are
-    keyed per engine and additionally pass through
-    :func:`_engine_matrix_failures`: the adaptive engine must stay
-    within *engine_tolerance* of the best static engine on every
-    workload.  Returns 0 on pass, 1 on violation.  Baselines written
-    before the profiling layer (no ``bytes_streamed``/``phases`` keys)
-    still compare; a regression's failure message names the top
-    regressed phase when per-phase data is available on the new side.
-    """
-    import json
-
-    base = json.loads(Path(baseline).read_text())
-    base_rows = {
-        (r["algorithm"], r.get("engine"), r["graph"]): r
-        for r in base["results"]
-    }
-    failures = _engine_matrix_failures(rows, engine_tolerance)
-    failures += _serve_row_failures(rows, base_rows, tolerance)
-    print(f"\ncomparison vs {baseline}"
-          f" (tolerance +{tolerance:.0%} on ecl-scc model_seconds):")
-    print(f"  {'graph':<16s} {'base ms':>9s} {'new ms':>9s} {'ratio':>6s}"
-          f" {'bytes':>6s} {'launches':>13s}")
-    for row in rows:
-        if row["algorithm"] == "serve-bench":
-            continue  # gated by _serve_row_failures (no num_sccs/ms cells)
-        if row["algorithm"] == "dynamic-replay":
-            if row["model_seconds"] >= row["recompute_seconds"]:
-                failures.append(
-                    f"{row['graph']}: incremental updates"
-                    f" ({row['model_seconds']:.3e}s) no longer beat full"
-                    f" recompute ({row['recompute_seconds']:.3e}s)"
-                )
-        key = (row["algorithm"], row.get("engine"), row["graph"])
-        b = base_rows.get(key)
-        if b is None:
-            continue
-        label = row["graph"] + (
-            f"/{row['engine']}" if row.get("engine") else ""
-        )
-        if row["num_sccs"] != b["num_sccs"]:
-            failures.append(
-                f"{label}: num_sccs {row['num_sccs']} !="
-                f" baseline {b['num_sccs']}"
-            )
-        if row["algorithm"] != "ecl-scc":
-            continue
-        # degenerate corpus entries (empty graphs) estimate to 0.0s
-        ratio = (
-            row["model_seconds"] / b["model_seconds"]
-            if b["model_seconds"] else 1.0
-        )
-        byte_ratio = row["bytes_moved"] / max(b.get("bytes_moved", 0), 1)
-        print(f"  {label:<16s} {b['model_seconds'] * 1e3:9.3f}"
-              f" {row['model_seconds'] * 1e3:9.3f} {ratio:6.2f}"
-              f" {byte_ratio:6.2f} {b.get('kernel_launches', 0):>5d} ->"
-              f" {row['kernel_launches']:<5d}")
-        if ratio > 1.0 + tolerance:
-            msg = (
-                f"{label}: model_seconds regressed x{ratio:.3f}"
-                f" (> +{tolerance:.0%})"
-            )
-            top = _top_regressed_phase(row.get("phases"), b.get("phases"))
-            if top:
-                msg += f"; top regressed phase: {top}"
-            failures.append(msg)
-    if failures:
-        print("bench-regression gate: FAIL")
-        for f in failures:
-            print(f"  {f}")
-        return 1
-    print("bench-regression gate: pass")
-    return 0
-
-
-def _serve_row_failures(rows: "list[dict]", base_rows: "dict",
-                        tolerance: float) -> "list[str]":
-    """Gate rules for ``serve-bench`` rows (the serve-smoke artifact).
-
-    Versus the baseline, per scenario: throughput must not drop more
-    than *tolerance* (relative) and the backpressure shed rate must not
-    rise more than *tolerance* (absolute — shed rates are fractions of
-    submitted jobs); a cache-enabled row additionally must *strictly
-    beat* its baseline twin on throughput with no-worse p99 when that
-    baseline predates the cache (the PR9 acceptance gate).  Within the
-    new rows alone, two pair rules must hold: the ``-nobreakers`` crash
-    scenario must show strictly worse p99 latency and shed rate than
-    its ``+breakers`` twin (the breaker win), and a ``-nocache`` twin
-    must show strictly lower throughput at no-better p99 than its
-    cache-enabled scenario (the cache win).
-    """
-    failures: "list[str]" = []
-    serve_rows = [r for r in rows if r["algorithm"] == "serve-bench"]
-    for row in serve_rows:
-        key = (row["algorithm"], row.get("engine"), row["graph"])
-        b = base_rows.get(key)
-        if b is None:
-            continue
-        if row["throughput_jps"] < b["throughput_jps"] * (1.0 - tolerance):
-            failures.append(
-                f"{row['graph']}: serve throughput regressed"
-                f" {b['throughput_jps']:.1f} -> {row['throughput_jps']:.1f}"
-                f" jobs/s (> -{tolerance:.0%})"
-            )
-        if row["shed_rate"] > b["shed_rate"] + tolerance:
-            failures.append(
-                f"{row['graph']}: serve shed rate regressed"
-                f" {b['shed_rate']:.3f} -> {row['shed_rate']:.3f}"
-                f" (> +{tolerance:.2f} absolute)"
-            )
-        if row.get("cache_enabled") and not b.get("cache_enabled"):
-            # a pre-cache baseline: the short-circuit layer must be a
-            # strict improvement on the same workload.  The p99 half
-            # only binds fault-free rows — under an injected fault plan
-            # the cache *completes* jobs the baseline shed, so the two
-            # latency populations are not comparable.
-            if row["throughput_jps"] <= b["throughput_jps"]:
-                failures.append(
-                    f"{row['graph']}: cache win lost vs pre-cache baseline —"
-                    f" throughput {b['throughput_jps']:.1f} ->"
-                    f" {row['throughput_jps']:.1f} jobs/s not strictly up"
-                )
-            p99_b, p99_r = b["p99_ms"], row["p99_ms"]
-            if (row.get("plan") is None and p99_b is not None
-                    and p99_r is not None and p99_r > p99_b):
-                failures.append(
-                    f"{row['graph']}: cache win lost vs pre-cache baseline —"
-                    f" p99 {p99_b:.4f}ms -> {p99_r:.4f}ms worsened"
-                )
-    by_scenario = {r["graph"]: r for r in serve_rows}
-    for name, off_row in by_scenario.items():
-        if not name.endswith("-nocache"):
-            continue
-        on_row = by_scenario.get(name[: -len("-nocache")])
-        if on_row is None or not on_row.get("cache_enabled"):
-            continue
-        if on_row["throughput_jps"] <= off_row["throughput_jps"]:
-            failures.append(
-                f"{name[: -len('-nocache')]}: cache win lost — throughput"
-                f" with cache ({on_row['throughput_jps']:.1f}/s) does not"
-                f" beat without ({off_row['throughput_jps']:.1f}/s)"
-            )
-        p99_on, p99_off = on_row["p99_ms"], off_row["p99_ms"]
-        if p99_on is not None and p99_off is not None and p99_on > p99_off:
-            failures.append(
-                f"{name[: -len('-nocache')]}: cache win lost — p99 with"
-                f" cache ({p99_on:.4f}ms) worse than without"
-                f" ({p99_off:.4f}ms)"
-            )
-    for name, on_row in by_scenario.items():
-        if not name.endswith("+breakers"):
-            continue
-        off_row = by_scenario.get(name[: -len("+breakers")] + "-nobreakers")
-        if off_row is None:
-            continue
-        p99_on, p99_off = on_row["p99_ms"], off_row["p99_ms"]
-        if p99_on is not None and p99_off is not None and p99_off <= p99_on:
-            failures.append(
-                f"{name}: breaker win lost — p99 without breakers"
-                f" ({p99_off:.4f}ms) no longer degrades vs with"
-                f" ({p99_on:.4f}ms)"
-            )
-        if off_row["shed_rate"] <= on_row["shed_rate"]:
-            failures.append(
-                f"{name}: breaker win lost — shed rate without breakers"
-                f" ({off_row['shed_rate']:.3f}) no longer degrades vs with"
-                f" ({on_row['shed_rate']:.3f})"
-            )
-    return failures
-
-
-def _top_regressed_phase(new_phases: "dict | None",
-                         base_phases: "dict | None") -> "str | None":
-    """Name the phase that grew the most between two smoke rows.
-
-    Pre-profiling baselines carry no ``phases``; fall back to the new
-    run's most expensive phase so the gate message still points at the
-    place to look.
-    """
-    if not new_phases:
-        return None
-    if base_phases:
-        deltas = {
-            name: ph["seconds"] - base_phases.get(name, {}).get("seconds", 0.0)
-            for name, ph in new_phases.items()
-        }
-        name = max(deltas, key=lambda k: deltas[k])
-        if deltas[name] <= 0:
-            return None
-        ph = new_phases[name]
-        return (f"{name} (+{deltas[name]:.3e}s,"
-                f" {ph['classification']})")
-    name = max(new_phases, key=lambda k: new_phases[k]["seconds"])
-    ph = new_phases[name]
-    return (f"{name} ({ph['seconds']:.3e}s of the run,"
-            f" {ph['classification']}; baseline has no phase data)")
+    return gates.check(payload, args.baseline)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    gates.refuse_self_comparison(args.json, args.baseline)
     if args.experiment == "smoke":
         return _bench_smoke(args)
     if args.experiment == "engines":
@@ -1245,11 +975,12 @@ def _print_serve_row(row: "dict") -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The serve control-plane bench + chaos harness.
 
-    ``bench`` runs the four-scenario matrix (clean, crash with and
-    without breakers, delay), asserts the breaker win, and writes the
-    rows (the CI ``BENCH_pr8.json`` artifact); ``chaos`` drives the
-    service under one fault plan with full verification (terminal
-    states + label bit-identity against unserved solves).
+    ``bench`` runs the scenario matrix (clean with and without the
+    short-circuit layer, crash with and without breakers, delay) and
+    writes the rows (the committed ``BENCH_serve.json`` baseline);
+    ``chaos`` drives the service under one fault plan with full
+    verification (terminal states + label bit-identity against
+    unserved solves).
     """
     import json as _json
 
@@ -1283,6 +1014,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"written to {args.json}")
         return 0
 
+    gates.refuse_self_comparison(args.json, args.baseline)
     # bench: the scenario matrix; the breaker win and the cache win are
     # measured here and *enforced* by the --baseline gate (the CI
     # serve-smoke job).  zipf-clean runs with the short-circuit layer
@@ -1299,7 +1031,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args, "zipf-crash", preset_plan("serve-crash", args.seed),
         shortcircuit=False,
     )
-    cmp = breaker_comparison(crash, require_win=False)
+    cmp = breaker_comparison(crash)
     rows += [cmp["enabled"], cmp["disabled"]]
     rows.append(run_serve_bench(
         _serve_config(args, "zipf-delay", preset_plan("serve-delay", args.seed))
@@ -1334,7 +1066,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"written to {args.json}")
     if args.baseline:
-        return _bench_compare(rows, args.baseline, args.tolerance)
+        return gates.check(doc, args.baseline)
     return 0
 
 
@@ -1596,15 +1328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None,
                    help="(smoke/engines) write results to this JSON file")
     p.add_argument("--baseline", default=None,
-                   help="(smoke/engines) compare against this baseline JSON"
-                   " and gate: exact num_sccs, bounded ecl-scc"
-                   " model_seconds")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="(smoke/engines) allowed ecl-scc model_seconds"
-                   " regression vs --baseline (default 0.05 = +5%%)")
-    p.add_argument("--engine-tolerance", type=float, default=0.02,
-                   help="(engines) allowed adaptive overhead vs the best"
-                   " static engine (default 0.02 = +2%%)")
+                   help="(smoke/engines) gate the run against this committed"
+                   " baseline JSON (rules: repro.bench.gates)")
     p.add_argument("--decisions", default=None,
                    help="(engines) write the adaptive per-round decision"
                    " logs to this JSON file (the CI artifact)")
@@ -1727,11 +1452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None,
                    help="write results to this JSON file")
     p.add_argument("--baseline", default=None,
-                   help="(bench) compare against this baseline JSON and"
-                   " gate throughput/shed-rate regressions")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="(bench) allowed throughput/shed-rate regression"
-                   " vs --baseline (default 0.05)")
+                   help="(bench) gate the run against this committed"
+                   " baseline JSON (rules: repro.bench.gates)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

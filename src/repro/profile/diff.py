@@ -4,8 +4,8 @@
 mixed versions are rejected with a clear error), attributes each side's
 launch ledger with the device spec recorded in its trace meta, and
 reports, per span path, the seconds delta plus the counter movements
-that caused it.  The bench-regression CI gate prints the top regressed
-phase from this diff when it fails.
+that caused it.  It is a tool for explaining a change; the CI gates
+(:mod:`repro.bench.gates`) do not use it.
 """
 
 from __future__ import annotations

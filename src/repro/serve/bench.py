@@ -31,7 +31,8 @@ done / rejected / shed / dead-letter.
 workload with breakers enabled and disabled; with them disabled,
 doomed workloads occupy workers through their full retry ladders, the
 queue backs up, and both p99 latency and the backpressure shed rate
-measurably degrade — the CI gate asserts this stays true.
+measurably degrade — the CI gate (:mod:`repro.bench.gates`) requires
+this to stay true.
 """
 
 from __future__ import annotations
@@ -413,31 +414,25 @@ def verify_report(
 # the breaker win
 # ----------------------------------------------------------------------
 
-def breaker_comparison(
-    cfg: ServeBenchConfig, *, verify: bool = False, require_win: bool = True
-) -> "dict[str, Any]":
-    """Same crash workload, breakers on vs off; asserts the win.
+def breaker_comparison(cfg: ServeBenchConfig) -> "dict[str, Any]":
+    """Same crash workload, breakers on vs off; measures the win.
 
-    Returns both rows plus the degradation factors.  With
-    ``require_win`` (the default) raises ``AssertionError`` unless
-    disabling breakers measurably degrades **both** p99 latency and
-    the backpressure shed rate — the service's core resilience claim,
-    gated in CI at the committed baseline's load.  Pass
-    ``require_win=False`` to measure without asserting (the win is
-    load-dependent: a queue that never fills sheds nothing either
-    way).
+    Returns both rows plus the degradation factors.
+    ``breaker_win["ok"]`` is true when disabling breakers measurably
+    degrades **both** p99 latency and the backpressure shed rate — the
+    service's core resilience claim, gated in CI at the committed
+    baseline's load.  The win is load-dependent: a queue that never
+    fills sheds nothing either way.
     """
     if cfg.plan is None or not cfg.plan.has_serve_faults:
         raise ValueError("breaker_comparison needs a serve-fault plan")
     enabled = run_serve_bench(
         replace(cfg, breakers_enabled=True,
                 scenario=cfg.scenario + "+breakers"),
-        verify=verify,
     )
     disabled = run_serve_bench(
         replace(cfg, breakers_enabled=False,
                 scenario=cfg.scenario + "-nobreakers"),
-        verify=verify,
     )
     p99_on, p99_off = enabled["p99_ms"], disabled["p99_ms"]
     p99_ratio = (
@@ -449,9 +444,4 @@ def breaker_comparison(
         "shed_rate_delta": shed_delta,
         "ok": p99_ratio > 1.0 and shed_delta > 0.0,
     }
-    if require_win and not win["ok"]:
-        raise AssertionError(
-            "breaker win not observed: disabling breakers should degrade"
-            f" p99 (x{p99_ratio:.3f}) and shed rate (+{shed_delta:.4f})"
-        )
     return {"enabled": enabled, "disabled": disabled, "breaker_win": win}

@@ -27,9 +27,9 @@ Semantics:
 * **bounded by bytes, evicted LRU.**  Each entry costs its label
   array's bytes (plus a fixed overhead per entry); inserting past
   ``max_bytes`` evicts least-recently-used entries first.  Hits,
-  misses, evictions, and invalidations are all counted and surfaced
-  through :class:`~repro.serve.metrics.ServiceMetrics` and the
-  ``serve:cache_*`` trace counters.
+  misses, evictions, and invalidations are all counted in
+  :class:`~repro.serve.metrics.ServiceMetrics`; ``docs/observability.md``
+  §9 lists which also emit ``serve:cache_*`` trace counters.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ class SolveCache:
 
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> "CacheEntry | None":
-        """LRU lookup; counts a hit on success.
+        """LRU lookup; counts a hit on success — call it only to serve.
 
-        A ``None`` is *not* counted as a miss here — the dispatch sweep
-        probes every queued read on every pass, so misses are counted
+        The dispatch sweep probes with ``key in cache``, which counts
+        nothing, and a ``None`` here is *not* a miss: misses are counted
         once per actual read execution via :meth:`count_miss`.
         """
         entry = self._entries.get(key)

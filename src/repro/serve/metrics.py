@@ -1,11 +1,10 @@
 """Service metrics: decision counters and a Prometheus exposition.
 
-Every control-plane decision increments a named counter here *and* a
-``serve:*`` trace counter when the service has a tracer attached — the
-two views are the same numbers at different granularities (aggregate
-vs. per-decision-with-timestamp).  :func:`to_prometheus` renders the
-aggregate view in the text exposition format, mirroring
-``repro.profile.to_prometheus`` (see ``docs/observability.md`` §9).
+Control-plane decisions increment named counters here; most also emit
+a ``serve:*`` trace counter when the service has a tracer attached.  The
+two views are not one-to-one — ``docs/observability.md`` §9 maps every
+name.  :func:`to_prometheus` renders the aggregate view in the text
+exposition format, mirroring ``repro.profile.to_prometheus``.
 """
 
 from __future__ import annotations

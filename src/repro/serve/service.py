@@ -49,10 +49,10 @@ recomputes from exactly the pre-attempt graph, and committed
 generations advance once per *successful* attempt.  Crashed attempts
 still charge their tenant for the wasted work.
 
-Every decision lands three ways: the job's own decision history
-(:meth:`~repro.serve.jobs.Job.artifact`), the aggregate
-:class:`~repro.serve.metrics.ServiceMetrics` counters, and ``serve:*``
-trace counters when a tracer is attached.  See ``docs/serve.md``.
+Decisions land in the job's history (:meth:`~repro.serve.jobs.Job.artifact`),
+:class:`~repro.serve.metrics.ServiceMetrics` counters and, with a tracer
+attached, ``serve:*`` trace counters; ``docs/observability.md`` §9 maps
+which lands where.  See ``docs/serve.md``.
 """
 
 from __future__ import annotations
@@ -499,11 +499,10 @@ class SccService:
             if kind is JobKind.QUERY and graph in self._busy_graphs:
                 return False  # an in-flight update: queries stay ordered
             if self.cache is not None:
-                entry = self.cache.get(
-                    self.cache.key(graph, generation, self.engine, self.backend)
-                )
-                if entry is not None:
-                    job._fastpath = ("cache", entry)
+                # probe only: _serve_cache_hit counts the hit if the job is served
+                key = self.cache.key(graph, generation, self.engine, self.backend)
+                if key in self.cache:
+                    job._fastpath = ("cache", key)
                     return True
             return False
 
@@ -513,17 +512,18 @@ class SccService:
             if deadline is not None and self.now >= deadline:
                 self._dead_letter(job, "deadline")
                 continue
-            plan, leader_or_entry = job._fastpath  # set by the predicate
+            plan, leader_or_key = job._fastpath  # set by the predicate
             del job._fastpath
             if plan == "attach":
-                self._attach_follower(leader_or_entry, job)
+                self._attach_follower(leader_or_key, job)
             else:
-                self._serve_cache_hit(job, leader_or_entry)
+                self._serve_cache_hit(job, leader_or_key)
             served += 1
         return served
 
-    def _serve_cache_hit(self, job: Job, entry: CacheEntry) -> None:
+    def _serve_cache_hit(self, job: Job, key: tuple) -> None:
         """Complete *job* from the cache: zero device cost, no worker."""
+        entry = self.cache.get(key)
         self.metrics.incr("cache_hits")
         self._decide(job, "cache_hit", graph=job.spec.graph,
                      generation=entry.generation)

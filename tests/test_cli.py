@@ -136,31 +136,6 @@ class TestEngineSelection:
         with pytest.raises(AlgorithmError):
             run_algorithm(cycle_graph(4), "fb", A100, engine="frontier")
 
-    def test_bench_compare_gate(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import _bench_compare
-
-        base = {
-            "results": [{
-                "algorithm": "ecl-scc", "graph": "g", "num_sccs": 3,
-                "model_seconds": 1.0, "bytes_moved": 100,
-                "kernel_launches": 5,
-            }]
-        }
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(base))
-        row = dict(base["results"][0])
-        assert _bench_compare([dict(row, model_seconds=1.02)], str(path), 0.05) == 0
-        assert "pass" in capsys.readouterr().out
-        # >5% model_seconds regression fails
-        assert _bench_compare([dict(row, model_seconds=1.2)], str(path), 0.05) == 1
-        assert "FAIL" in capsys.readouterr().out
-        # a num_sccs mismatch fails even when fast
-        assert _bench_compare(
-            [dict(row, num_sccs=4, model_seconds=0.5)], str(path), 0.05
-        ) == 1
-
 
 class TestDistributedCli:
     def test_distributed_runs(self, graph_file, capsys):

@@ -365,18 +365,6 @@ class TestBenchQuantiles:
         assert json.dumps(a, sort_keys=True, default=str) == \
             json.dumps(b, sort_keys=True, default=str)
 
-    def test_old_baseline_rows_without_new_keys_still_gate(self):
-        """BENCH_pr8/pr9 rows lack p999_ms/quantile_error — the serve
-        gate must not require them of the baseline side."""
-        from repro.cli import _serve_row_failures
-
-        row = run_serve_bench(SMALL)
-        old = {k: v for k, v in row.items()
-               if k not in ("p999_ms", "quantile_error")}
-        base = {(old["algorithm"], old.get("engine"), old["graph"]): old}
-        failures = _serve_row_failures([row], base, tolerance=0.05)
-        assert failures == []
-
 
 # ---------------------------------------------------------------------------
 # perfetto export

@@ -516,28 +516,3 @@ class TestProfileCli:
                         "rounds"):
                 assert key in row, key
             assert "phases" in row
-
-    def test_compare_accepts_pre_profiling_baseline(self, tmp_path, capsys):
-        from repro.cli import _bench_compare
-
-        baseline = {
-            "results": [
-                {
-                    "algorithm": "ecl-scc", "graph": "g", "num_sccs": 3,
-                    "model_seconds": 1.0,
-                },
-            ]
-        }
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(baseline))
-        row = {
-            "algorithm": "ecl-scc", "graph": "g", "num_sccs": 3,
-            "model_seconds": 1.0, "bytes_moved": 10, "kernel_launches": 2,
-            "phases": {"p2": {"seconds": 0.9, "launches": 1,
-                              "classification": "launch-overhead-bound"}},
-        }
-        assert _bench_compare([row], str(path), 0.05) == 0
-        bad = dict(row, model_seconds=2.0)
-        assert _bench_compare([bad], str(path), 0.05) == 1
-        out = capsys.readouterr().out
-        assert "top regressed phase: p2" in out

@@ -14,6 +14,8 @@ The contract (docs/serve.md):
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from repro.serve.bench import (
     build_workload,
     verify_report,
 )
+from repro.trace import Tracer
 
 
 def _job(jid=0, kind=JobKind.SOLVE, graph="g0", tenant="t0"):
@@ -459,9 +462,9 @@ class TestBench:
             scenario="zipf-crash", plan=preset_plan("serve-crash", 0),
             cache_enabled=False, coalesce_enabled=False,
         )
-        cmp = breaker_comparison(cfg)          # raises if the win is lost
+        cmp = breaker_comparison(cfg)
         win = cmp["breaker_win"]
-        assert win["ok"]
+        assert win["ok"]                       # the harness only measures it
         assert cmp["disabled"]["p99_ms"] > cmp["enabled"]["p99_ms"]
         assert cmp["disabled"]["shed_rate"] > cmp["enabled"]["shed_rate"]
 
@@ -472,6 +475,37 @@ class TestBench:
     def test_preset_plan_unknown_name(self):
         with pytest.raises(FaultPlanError):
             preset_plan("definitely-not-a-preset", 0)
+
+
+def _documented_trace_counters() -> "set[str]":
+    """The ``serve:*`` names listed in docs/observability.md §9."""
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "observability.md").read_text()
+    section = doc[doc.index("## 9. "):doc.index("## 10. ")]
+    return set(re.findall(r"`(serve:[\w-]+)`", section))
+
+
+def test_tracer_emits_only_documented_serve_counters():
+    # a crash storm with cache and coalescing on reaches the retry,
+    # breaker and every short-circuit decision in one small run
+    cfg = ServeBenchConfig(**{**SMALL.__dict__, "num_jobs": 30,
+                              "plan": preset_plan("serve-crash", 0)})
+    graphs = _build_graphs(cfg)
+    initial = {name: g.edges() for name, g in graphs.items()}
+    tracer = Tracer()
+    svc = SccService(workers=cfg.workers, queue_capacity=cfg.queue_capacity,
+                     faults=cfg.plan, tracer=tracer, seed=cfg.seed)
+    for name, g in graphs.items():
+        svc.register_graph(name, g)
+    mean_service_s = float(solve(graphs["g0"]).model_seconds)
+    for at, spec in build_workload(cfg, mean_service_s=mean_service_s):
+        svc.submit(_resolve_deletions(spec, initial), at=at)
+    svc.run()
+    emitted = {e.name for e in tracer.finish().events
+               if e.name.startswith("serve:")}
+    assert emitted <= _documented_trace_counters()
+    assert {"serve:crash", "serve:retry", "serve:cache_hit", "serve:cache_put",
+            "serve:coalesce_attach", "serve:coalesce_merge"} <= emitted
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +778,20 @@ class TestDeadlineBoundary:
         assert svc.metrics["retries"] == 0
         assert not any(dec["decision"] == "retry-scheduled"
                        for dec in job.decisions)
+
+    def test_read_dead_lettered_at_deadline_counts_no_cache_hit(self):
+        svc = SccService(workers=1, queue_capacity=8)
+        svc.register_graph("g0", cycle_graph(12))
+        svc.submit(JobSpec("t", JobKind.SOLVE, "g0"))
+        svc.submit(JobSpec("t", JobKind.UPDATE, "g0",
+                           insert_edges=([0], [5])))
+        late = svc.submit(JobSpec("t", JobKind.SOLVE, "g0", deadline_s=1e-12))
+        report = svc.run()
+        assert late.state is JobState.DEAD_LETTER
+        assert late.reason == "deadline"
+        # the cache's own count and the service counter agree: a read
+        # that found an entry but was dead-lettered served nothing
+        assert report.cache["hits"] == report.metrics["cache_hits"] == 0
 
 
 # ---------------------------------------------------------------------------
