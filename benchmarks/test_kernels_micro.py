@@ -1,9 +1,10 @@
 """Microbenchmarks of the building-block kernels (Python wall time).
 
 Not a paper table — these track the implementation's own hot paths so
-regressions in the NumPy formulations (reduceat segment-max, worklist
-compaction, the frontier drain's gather + scatter-max rounds, CSR
-construction, Tarjan) are visible in CI.
+regressions in the NumPy formulations (the relaxation library's pull,
+push and compression bodies, worklist compaction, the frontier,
+adaptive and async drains, CSR construction, Tarjan) are visible in
+CI.
 """
 
 import numpy as np
@@ -12,15 +13,18 @@ import pytest
 from repro.baselines import tarjan_scc
 from repro.core import (
     ALL_ON,
+    BlockPartition,
     DoubleBufferWorklist,
     EclOptions,
     EdgeGrouping,
     Signatures,
     phase3_filter,
+    propagate_async,
     propagate_frontier,
 )
 from repro.device import A100, VirtualDevice
-from repro.engine import get_backend
+from repro.engine import AdaptiveScheduler, get_backend
+from repro.engine.relax import pull
 from repro.graph import CSRGraph, rmat_graph
 from repro.mesh import beam_hex, build_sweep_graph, ordinates_3d
 
@@ -48,11 +52,7 @@ def test_relax_round(benchmark, medium_graph):
     src, dst = medium_graph.edges()
     grouping = EdgeGrouping.build(src, dst)
     sigs = Signatures.identity(medium_graph.num_vertices)
-
-    def round_():
-        grouping.relax(sigs, compress=True)
-
-    benchmark(round_)
+    benchmark(lambda: pull(sigs, grouping, compress=True))
 
 
 def test_phase3_compaction(benchmark, medium_graph):
@@ -76,12 +76,17 @@ def test_sweep_graph_construction(benchmark):
     benchmark(lambda: build_sweep_graph(mesh, omega))
 
 
-def test_frontier_drain(benchmark):
+@pytest.fixture(scope="module")
+def sweep_graph():
+    """A mesh sweep graph: many narrow rounds, like the paper's meshes."""
+    return build_sweep_graph(beam_hex(4), ordinates_3d(1)[0])
+
+
+def test_frontier_drain(benchmark, sweep_graph):
     """One frontier Phase-2 drain, seeded with every vertex, to quiescence
-    on a mesh sweep graph (many narrow rounds, like the paper's meshes)."""
-    graph = build_sweep_graph(beam_hex(4), ordinates_3d(1)[0])
-    src, dst = graph.edges()
-    n = graph.num_vertices
+    (push rounds with compression over the relaxed endpoints)."""
+    src, dst = sweep_graph.edges()
+    n = sweep_graph.num_vertices
     grouping = EdgeGrouping.build(src, dst)
     opts = EclOptions(engine="frontier")
     seed = np.arange(n)
@@ -96,3 +101,53 @@ def test_frontier_drain(benchmark):
 
     launches, rounds = benchmark(drain)
     assert launches == 2 and rounds > 1
+
+
+def test_adaptive_drain(benchmark, sweep_graph):
+    """The same drain with the adaptive scheduler picking each round's
+    policy: dense pull rounds while the frontier is dense, push after."""
+    src, dst = sweep_graph.edges()
+    n = sweep_graph.num_vertices
+    grouping = EdgeGrouping.build(src, dst)
+    opts = EclOptions(engine="adaptive")
+    seed = np.arange(n)
+    backend = get_backend("frontier")
+
+    def drain():
+        scheduler = AdaptiveScheduler(A100, num_vertices=n, num_edges=src.size)
+        sigs = Signatures.identity(n)
+        propagate_frontier(
+            sigs, grouping, VirtualDevice(A100), opts, n,
+            seed=seed, backend=backend, scheduler=scheduler,
+        )
+        return {d.policy for d in scheduler.decisions}
+
+    assert benchmark(drain) == {"dense", "frontier"}
+
+
+@pytest.mark.parametrize(
+    "opts, expected",
+    [
+        # path compression converges in full-width pull rounds only
+        (ALL_ON, (2, 5)),
+        # plain relaxation: blocks exit, and the narrow rounds push
+        (ALL_ON.disabling("path_compression"), (2, 36)),
+    ],
+    ids=["compress", "plain"],
+)
+def test_async_drain(benchmark, sweep_graph, opts, expected):
+    """One async Phase 2 from identity signatures, 64-edge blocks:
+    full-width pull rounds while most blocks run, push rounds once the
+    active front is narrow."""
+    src, dst = sweep_graph.edges()
+    n = sweep_graph.num_vertices
+    bounds = VirtualDevice(A100).partition_edges(
+        src.size, persistent=False, block_edges=64
+    )
+    partition = BlockPartition.build(src, dst, bounds)
+
+    def drain():
+        sigs = Signatures.identity(n)
+        return propagate_async(sigs, partition, VirtualDevice(A100), opts, n)
+
+    assert benchmark(drain) == expected

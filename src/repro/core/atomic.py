@@ -23,9 +23,10 @@ import numpy as np
 
 from ..device.executor import VirtualDevice
 from ..engine.accounting import charge_relaxation_round
-from ..errors import ConvergenceError
+from ..engine.relax import compress_paths, push, rose, snapshot
 from ..trace import NULL_TRACER, Tracer
 from .options import EclOptions
+from .propagation import _bounds_check
 from .signatures import Signatures
 
 __all__ = ["propagate_atomic"]
@@ -52,40 +53,16 @@ def propagate_atomic(
     m = src.size
     while True:
         rounds += 1
-        if rounds > bound:
-            raise ConvergenceError(
-                "propagate_atomic failed to converge",
-                iterations=rounds - 1,
-                sig_in=sigs.sig_in.copy(),
-                sig_out=sigs.sig_out.copy(),
-                active_count=int(
-                    np.count_nonzero(sigs.sig_in != sigs.sig_out)
-                ),
-            )
+        _bounds_check(rounds, bound, "propagate_atomic", sigs)
         tracer.counter("relaxation-round", engine="atomic")
-        sig_in, sig_out = sigs.sig_in, sigs.sig_out
-        changed = False
-        # u_out <- atomicMax(u_out, v_out)
-        cand = sig_out[dst]
-        if opts.path_compression:
-            cand = sig_out[cand]
-        before = sig_out[src]
-        np.maximum.at(sig_out, src, cand)
-        if np.any(sig_out[src] > before):
-            changed = True
-        # v_in <- atomicMax(v_in, u_in)
-        cand = sig_in[src]
-        if opts.path_compression:
-            cand = sig_in[cand]
-        before = sig_in[dst]
-        np.maximum.at(sig_in, dst, cand)
-        if np.any(sig_in[dst] > before):
-            changed = True
+        snap = snapshot(sigs)
+        # u_out <- atomicMax(u_out, v_out); v_in <- atomicMax(v_in, u_in)
+        push(sigs, src, dst, compress=opts.path_compression)
         extra_vertex_work = 0
         if opts.path_compression:
-            changed |= sigs.pointer_jump()
-            changed |= sigs.feedback()
+            compress_paths(sigs, None, None)
             extra_vertex_work = 2 * num_vertices
+        changed = rose(sigs, snap).any()
         charge_relaxation_round(
             dev, edges=m, vertices=extra_vertex_work, atomics=2 * m
         )

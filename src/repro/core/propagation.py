@@ -33,13 +33,17 @@ progress, and the fixed point of a monotone join semilattice iteration
 is schedule-independent — which is why labels are bit-identical across
 engines.
 
-Vectorization: a relaxation round is a *segment maximum* — for every
-vertex, the max of candidate values over its incident worklist edges.  We
-precompute, once per outer iteration (the worklist only changes in Phase
-3), a sorted edge permutation and group boundaries per endpoint, and each
-round is then a gather + ``np.maximum.reduceat`` + masked store.  This is
-the scatter-free formulation recommended by the HPC guide (``ufunc.at`` is
-an order of magnitude slower than ``reduceat`` on grouped data).
+Vectorization: every engine is a schedule over the round bodies of
+:mod:`repro.engine.relax`: ``push`` (``np.maximum.at`` over an edge
+subset), ``pull`` (gather + ``np.maximum.reduceat`` over an
+:class:`EdgeGrouping`, built once per outer iteration because the
+worklist only changes in Phase 3) and ``compress_paths``.  With NumPy
+2.4, ``ufunc.at`` is not slower than the grouped ``reduceat``: one
+direction of a full relaxation takes 5.6 vs 14.3 us on a beam_hex(4)
+sweep graph and 1.59 vs 1.73 ms on flickr at scale 1/32 (best of 15,
+2-vCPU x86-64 VM).  What made push rounds slow was compressing one
+copy of each endpoint per incident edge; the library compresses each
+distinct endpoint once.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from ..engine.accounting import (
 from ..engine.backend import ArrayBackend
 from ..engine.policy import RoundState, get_policy
 from ..engine.primitives import build_vertex_incidence
+from ..engine.relax import pull_round, push_round
 from ..engine.scheduler import AdaptiveScheduler
 from ..errors import ConvergenceError
 from ..trace import NULL_TRACER, Tracer
@@ -78,9 +83,10 @@ __all__ = [
 class EdgeGrouping:
     """Segment-max scaffolding for one static edge array pair.
 
-    ``relax_*`` performs one Jacobi relaxation round over these edges:
-    every edge (u -> v) proposes ``sig_out[v]`` to u's out-signature and
-    ``sig_in[u]`` to v's in-signature (Algorithm 1 lines 10-11).
+    :func:`~repro.engine.relax.pull` performs one Jacobi relaxation round
+    over these edges: every edge (u -> v) proposes ``sig_out[v]`` to u's
+    out-signature and ``sig_in[u]`` to v's in-signature (Algorithm 1
+    lines 10-11).
     """
 
     src: np.ndarray
@@ -117,84 +123,6 @@ class EdgeGrouping:
     @property
     def num_edges(self) -> int:
         return self.src.size
-
-    # ------------------------------------------------------------------
-    def relax(self, sigs: Signatures, *, compress: bool) -> bool:
-        """One relaxation round; returns True if any signature rose.
-
-        With ``compress`` the candidate read is ``sig[sig[w]]`` instead of
-        ``sig[w]`` (the paper's ``out[out[v]]`` read) — never worse because
-        signatures are monotone and self-improving.
-        """
-        changed = False
-        sig_out, sig_in = sigs.sig_out, sigs.sig_in
-        # u_out <- max over out-edges (u -> v) of v's out-signature
-        cand = sig_out[self.dst]
-        if compress:
-            cand = sig_out[cand]
-        grouped = cand[self.order_by_src]
-        best = np.maximum.reduceat(grouped, self.starts_src)
-        cur = sig_out[self.group_src]
-        upd = best > cur
-        if upd.any():
-            sig_out[self.group_src[upd]] = best[upd]
-            changed = True
-        # v_in <- max over in-edges (u -> v) of u's in-signature
-        cand = sig_in[self.src]
-        if compress:
-            cand = sig_in[cand]
-        grouped = cand[self.order_by_dst]
-        best = np.maximum.reduceat(grouped, self.starts_dst)
-        cur = sig_in[self.group_dst]
-        upd = best > cur
-        if upd.any():
-            sig_in[self.group_dst[upd]] = best[upd]
-            changed = True
-        return changed
-
-    def relax_masked(
-        self,
-        sigs: Signatures,
-        edge_active: "np.ndarray | None",
-        num_vertices: int,
-        *,
-        compress: bool,
-    ) -> np.ndarray:
-        """One relaxation round over a subset of edges.
-
-        ``edge_active`` is a boolean mask parallel to ``src``/``dst``
-        (``None`` means all edges).  Inactive edges are neutralized by
-        substituting -1 candidates, so the precomputed grouping is reused
-        unchanged.  Returns a per-vertex boolean array marking vertices
-        whose signature rose this round.
-        """
-        changed_v = np.zeros(num_vertices, dtype=bool)
-        sig_out, sig_in = sigs.sig_out, sigs.sig_in
-        # out-signatures
-        cand = sig_out[self.dst]
-        if compress:
-            cand = sig_out[cand]
-        if edge_active is not None:
-            cand = np.where(edge_active, cand, -1)
-        best = np.maximum.reduceat(cand[self.order_by_src], self.starts_src)
-        upd = best > sig_out[self.group_src]
-        if upd.any():
-            winners = self.group_src[upd]
-            sig_out[winners] = best[upd]
-            changed_v[winners] = True
-        # in-signatures
-        cand = sig_in[self.src]
-        if compress:
-            cand = sig_in[cand]
-        if edge_active is not None:
-            cand = np.where(edge_active, cand, -1)
-        best = np.maximum.reduceat(cand[self.order_by_dst], self.starts_dst)
-        upd = best > sig_in[self.group_dst]
-        if upd.any():
-            winners = self.group_dst[upd]
-            sig_in[winners] = best[upd]
-            changed_v[winners] = True
-        return changed_v
 
 
 @dataclass(frozen=True)
@@ -277,19 +205,16 @@ def propagate_sync(
         rounds += 1
         _bounds_check(rounds, bound, "propagate_sync", sigs)
         tracer.counter("relaxation-round", engine="sync")
-        changed = grouping.relax(sigs, compress=opts.path_compression)
-        extra_vertex_work = 0
-        if opts.path_compression:
-            changed |= sigs.pointer_jump()
-            changed |= sigs.feedback(grouping.touched)
-            extra_vertex_work = num_vertices + grouping.touched.size
+        changed_v, compress_work = pull_round(
+            sigs, grouping, num_vertices, compress=opts.path_compression
+        )
         charge_relaxation_round(
             dev,
             edges=grouping.num_edges,
-            vertices=extra_vertex_work,
+            vertices=compress_work,
             blocks=blocks,
         )
-        if not changed:
+        if not changed_v.any():
             return rounds
 
 
@@ -318,9 +243,10 @@ def propagate_async(
 
     Simulation: lockstep rounds with the edges of exited blocks excluded.
     While most blocks are active the round is a full-array segment-max
-    with neutralized candidates; once the active front shrinks, rounds
-    switch to a scatter-max over just the active blocks' edges, so wall
-    time tracks the work the modelled device actually performs.  Work
+    with neutralized candidates (:func:`~repro.engine.relax.pull_round`);
+    once the active front shrinks, rounds switch to a scatter-max over
+    just the active blocks' edges (:func:`~repro.engine.relax.push_round`),
+    so wall time tracks the work the modelled device actually performs.  Work
     accounting is honest about the persistent-thread trade-off: every
     round of a still-running block processes *all* of its edges,
     converged or not, so large persistent-thread chunks buy fewer
@@ -334,7 +260,6 @@ def propagate_async(
     total_rounds = 0
     g = partition.grouping
     src, dst = g.src, g.dst
-    touched = g.touched
     bounds = partition.bounds
     chunk_sizes = partition.chunk_sizes
     nblocks = partition.num_blocks
@@ -357,90 +282,32 @@ def propagate_async(
             tracer.counter("relaxation-round", engine="async")
             active_edges = int(chunk_sizes[running].sum())
             launch_edge_work += active_edges
-            sig_in, sig_out = sigs.sig_in, sigs.sig_out
-            changed_v = np.zeros(num_vertices, dtype=bool)
             if active_edges > m // 4:
                 # ---- full-width round: neutralized segment max ----------
                 edge_active = (
                     None if running.all() else np.repeat(running, chunk_sizes)
                 )
-                changed_v |= g.relax_masked(
-                    sigs, edge_active, num_vertices, compress=opts.path_compression
+                changed_v, compress_work = pull_round(
+                    sigs, g, num_vertices, compress=opts.path_compression,
+                    edge_active=edge_active,
                 )
-                sig_in, sig_out = sigs.sig_in, sigs.sig_out
-                if opts.path_compression:
-                    # pointer doubling (the in[in]/out[out] reads of §3.3)
-                    ji = sig_in[sig_in]
-                    jo = sig_out[sig_out]
-                    changed_v |= ji != sig_in
-                    changed_v |= jo != sig_out
-                    sigs.sig_in, sigs.sig_out = sig_in, sig_out = ji, jo
-                    # signature feedback over the worklist endpoints
-                    in_t = sig_in[touched]
-                    out_t = sig_out[touched]
-                    before = sig_in[out_t]
-                    np.maximum.at(sig_in, out_t, in_t)
-                    upd = sig_in[out_t] > before
-                    changed_v[out_t[upd]] = True
-                    before = sig_out[in_t]
-                    np.maximum.at(sig_out, in_t, out_t)
-                    upd = sig_out[in_t] > before
-                    changed_v[in_t[upd]] = True
-                    launch_vertex_work += num_vertices + touched.size
+                launch_vertex_work += compress_work
                 # deactivate: a block exits when no endpoint of its edges moved
                 if changed_v.any():
                     launch_changed = True
                     upd_edge = changed_v[src] | changed_v[dst]
-                    alive = (
-                        np.maximum.reduceat(upd_edge.astype(np.int8), bounds[:-1]) > 0
-                    )
-                    running &= alive
+                    running &= np.logical_or.reduceat(upd_edge, bounds[:-1])
                 else:
                     running[:] = False
             else:
                 # ---- narrow front: scatter-max over active edges only ----
                 rb = np.flatnonzero(running)
-                idx = np.concatenate(
-                    [np.arange(bounds[i], bounds[i + 1]) for i in rb]
-                )
+                idx = np.flatnonzero(np.repeat(running, chunk_sizes))
                 s, d = src[idx], dst[idx]
-                cand = sig_out[d]
-                if opts.path_compression:
-                    cand = sig_out[cand]
-                before = sig_out[s]
-                np.maximum.at(sig_out, s, cand)
-                w = s[sig_out[s] > before]
-                changed_v[w] = True
-                cand = sig_in[s]
-                if opts.path_compression:
-                    cand = sig_in[cand]
-                before = sig_in[d]
-                np.maximum.at(sig_in, d, cand)
-                w = d[sig_in[d] > before]
-                changed_v[w] = True
-                if opts.path_compression:
-                    e = np.concatenate([s, d])
-                    # pointer doubling restricted to the active endpoints
-                    ji = sig_in[sig_in[e]]
-                    upd = ji > sig_in[e]
-                    sig_in[e[upd]] = ji[upd]
-                    changed_v[e[upd]] = True
-                    jo = sig_out[sig_out[e]]
-                    upd = jo > sig_out[e]
-                    sig_out[e[upd]] = jo[upd]
-                    changed_v[e[upd]] = True
-                    # feedback restricted to the active endpoints
-                    in_t = sig_in[e]
-                    out_t = sig_out[e]
-                    before = sig_in[out_t]
-                    np.maximum.at(sig_in, out_t, in_t)
-                    upd = sig_in[out_t] > before
-                    changed_v[out_t[upd]] = True
-                    before = sig_out[in_t]
-                    np.maximum.at(sig_out, in_t, out_t)
-                    upd = sig_out[in_t] > before
-                    changed_v[in_t[upd]] = True
-                    launch_vertex_work += 2 * e.size
+                changed_v, compress_work = push_round(
+                    sigs, s, d, num_vertices, compress=opts.path_compression
+                )
+                launch_vertex_work += compress_work
                 if changed_v.any():
                     launch_changed = True
                     upd_sub = changed_v[s] | changed_v[d]
@@ -448,9 +315,7 @@ def propagate_async(
                     sub_bounds = np.concatenate(
                         [[0], np.cumsum(chunk_sizes[rb])]
                     )[:-1]
-                    alive_sub = (
-                        np.maximum.reduceat(upd_sub.astype(np.int8), sub_bounds) > 0
-                    )
+                    alive_sub = np.logical_or.reduceat(upd_sub, sub_bounds)
                     running[rb[~alive_sub]] = False
                 else:
                     running[:] = False

@@ -13,6 +13,9 @@ makes path compression legal is maintained throughout:
 
     ``sig_in[v]`` can reach v; v can reach ``sig_out[v]``   (in the current
     worklist graph, or the value equals v).
+
+The relaxation and path-compression steps that raise the signatures
+live in :mod:`repro.engine.relax`.
 """
 
 from __future__ import annotations
@@ -61,56 +64,3 @@ class Signatures:
     def completed(self) -> np.ndarray:
         """Boolean mask of vertices whose signatures match (SCC identified)."""
         return self.sig_in == self.sig_out
-
-    def pointer_jump(self) -> bool:
-        """One pointer-doubling step on both arrays; True if anything moved.
-
-        ``sig_out[v]`` names a descendant y; y's own ``sig_out`` names a
-        descendant of y, hence of v, and is >= y by monotonicity — so
-        ``sig_out <- sig_out[sig_out]`` is a pure improvement.  Symmetric
-        for ``sig_in``.  This is the first half of the paper's
-        path-compression optimization (using ``in[in[v]]``/``out[out[v]]``).
-        """
-        jumped_in = self.sig_in[self.sig_in]
-        jumped_out = self.sig_out[self.sig_out]
-        changed = not (
-            np.array_equal(jumped_in, self.sig_in)
-            and np.array_equal(jumped_out, self.sig_out)
-        )
-        self.sig_in = jumped_in
-        self.sig_out = jumped_out
-        return changed
-
-    def feedback(self, vertices: "np.ndarray | None" = None) -> bool:
-        """The paper's signature-feedback rule (§3.3, second refinement).
-
-        For a vertex v with signature x:y (x = ``sig_in[v]``, an ancestor;
-        y = ``sig_out[v]``, a descendant):
-
-        * every descendant of v shares v's ancestors, so y's in-signature
-          may absorb v's:  ``sig_in[y] <- max(sig_in[y], sig_in[v])``;
-        * every ancestor of v shares v's descendants, so x's out-signature
-          may absorb v's: ``sig_out[x] <- max(sig_out[x], sig_out[v])``.
-
-        This is the provably-safe reading of the paper's "update the
-        signature of vertex s with value t" step and matches its stated
-        justification sentence verbatim.  Returns True if any value rose.
-        """
-        if vertices is None:
-            sig_in_v = self.sig_in
-            sig_out_v = self.sig_out
-        else:
-            sig_in_v = self.sig_in[vertices]
-            sig_out_v = self.sig_out[vertices]
-        # change detection via gathers at the touched targets only — a full
-        # array compare would make each feedback call O(n)
-        changed = False
-        before = self.sig_in[sig_out_v]
-        np.maximum.at(self.sig_in, sig_out_v, sig_in_v)
-        if np.any(self.sig_in[sig_out_v] > before):
-            changed = True
-        before = self.sig_out[sig_in_v]
-        np.maximum.at(self.sig_out, sig_in_v, sig_out_v)
-        if np.any(self.sig_out[sig_in_v] > before):
-            changed = True
-        return changed

@@ -15,7 +15,9 @@ frontier push worklist, dense push) performs one relaxation round, and
 the :class:`~repro.engine.scheduler.AdaptiveScheduler` picks the policy
 per round for the ``adaptive`` engine.  Labels never depend on the
 policy sequence either — monotone max-propagation has a
-schedule-independent fixed point.
+schedule-independent fixed point.  Every Phase-2 engine and policy runs
+its rounds through the one copy of each relaxation body (push, pull,
+path compression) in :mod:`repro.engine.relax`.
 """
 
 from .accounting import (

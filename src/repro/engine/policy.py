@@ -25,6 +25,10 @@ through, so the two can never diverge in labels or charges), and
 ``dense-push`` (push over all worklist edges) proving the direction axis
 is a registration choice, not a driver special case.
 
+A policy holds no relaxation code: its round selects its edges, calls
+one body of :mod:`repro.engine.relax` (``pull_round`` or
+``push_round``, shared by every Phase-2 engine) and charges the device.
+
 Correctness of mixing policies across rounds: every policy performs a
 monotone step of the same max-propagation join semilattice, a round that
 changes nothing certifies that no plain relaxation can make progress
@@ -52,6 +56,7 @@ from .accounting import (
     charge_frontier_round,
 )
 from .primitives import incident_edges
+from .relax import pull_round, push_round
 
 __all__ = [
     "RoundState",
@@ -80,8 +85,8 @@ class RoundState:
     #: Signatures-like object exposing ``sig_in``/``sig_out`` arrays.
     sigs: object
     #: EdgeGrouping-like object over the current edge worklist
-    #: (``src``/``dst``/``order_by_src``/``order_by_dst``/``touched``/
-    #: ``num_edges``/``relax_masked``).
+    #: (``src``/``dst``/``touched``/``num_edges`` plus the per-endpoint
+    #: grouping :func:`~repro.engine.relax.pull` reads).
     grouping: object
     #: per-direction incidence offsets of the worklist, from
     #: :func:`~repro.engine.primitives.build_vertex_incidence`: vertex
@@ -130,59 +135,6 @@ class RoundStats:
         return self.degree_sum / max(1, self.frontier_size)
 
 
-def _scatter_round(state: RoundState, idx: np.ndarray) -> "tuple[np.ndarray, int]":
-    """Shared push-relaxation body over edge subset *idx*.
-
-    Scatter-max both signature directions with racy plain writes, then
-    apply pointer doubling and signature feedback restricted to the
-    touched endpoints.  Returns ``(changed_v, compress_work)``.
-    """
-    sigs = state.sigs
-    sig_in, sig_out = sigs.sig_in, sigs.sig_out
-    src, dst = state.grouping.src, state.grouping.dst
-    changed_v = np.zeros(state.num_vertices, dtype=bool)
-    s, d = src[idx], dst[idx]
-    cand = sig_out[d]
-    if state.compress:
-        cand = sig_out[cand]
-    before = sig_out[s]
-    np.maximum.at(sig_out, s, cand)
-    w = s[sig_out[s] > before]
-    changed_v[w] = True
-    cand = sig_in[s]
-    if state.compress:
-        cand = sig_in[cand]
-    before = sig_in[d]
-    np.maximum.at(sig_in, d, cand)
-    w = d[sig_in[d] > before]
-    changed_v[w] = True
-    compress_work = 0
-    if state.compress and idx.size:
-        e = np.concatenate([s, d])
-        # pointer doubling restricted to the active endpoints
-        ji = sig_in[sig_in[e]]
-        upd = ji > sig_in[e]
-        sig_in[e[upd]] = ji[upd]
-        changed_v[e[upd]] = True
-        jo = sig_out[sig_out[e]]
-        upd = jo > sig_out[e]
-        sig_out[e[upd]] = jo[upd]
-        changed_v[e[upd]] = True
-        # feedback restricted to the active endpoints
-        in_t = sig_in[e]
-        out_t = sig_out[e]
-        before = sig_in[out_t]
-        np.maximum.at(sig_in, out_t, in_t)
-        upd = sig_in[out_t] > before
-        changed_v[out_t[upd]] = True
-        before = sig_out[in_t]
-        np.maximum.at(sig_out, in_t, out_t)
-        upd = sig_out[in_t] > before
-        changed_v[in_t[upd]] = True
-        compress_work = 2 * e.size
-    return changed_v, compress_work
-
-
 class PropagationPolicy:
     """One round-step strategy; stateless, registered by name."""
 
@@ -219,32 +171,10 @@ class DensePullPolicy(PropagationPolicy):
     direction = "pull"
 
     def run_round(self, state: RoundState, dev) -> np.ndarray:
-        sigs = state.sigs
         g = state.grouping
-        n = state.num_vertices
-        changed_v = g.relax_masked(sigs, None, n, compress=state.compress)
-        compress_work = 0
-        if state.compress:
-            sig_in, sig_out = sigs.sig_in, sigs.sig_out
-            # pointer doubling (the in[in]/out[out] reads of §3.3)
-            ji = sig_in[sig_in]
-            jo = sig_out[sig_out]
-            changed_v |= ji != sig_in
-            changed_v |= jo != sig_out
-            sigs.sig_in, sigs.sig_out = sig_in, sig_out = ji, jo
-            # signature feedback over the worklist endpoints
-            touched = g.touched
-            in_t = sig_in[touched]
-            out_t = sig_out[touched]
-            before = sig_in[out_t]
-            np.maximum.at(sig_in, out_t, in_t)
-            upd = sig_in[out_t] > before
-            changed_v[out_t[upd]] = True
-            before = sig_out[in_t]
-            np.maximum.at(sig_out, in_t, out_t)
-            upd = sig_out[in_t] > before
-            changed_v[in_t[upd]] = True
-            compress_work = n + touched.size
+        changed_v, compress_work = pull_round(
+            state.sigs, g, state.num_vertices, compress=state.compress
+        )
         enqueues = int(np.count_nonzero(changed_v))
         charge_dense_round(
             dev, edges=g.num_edges, vertices=compress_work, enqueues=enqueues
@@ -273,16 +203,16 @@ class FrontierPushPolicy(PropagationPolicy):
     name = "frontier"
     direction = "push"
 
-    def _select_edges(self, state: RoundState) -> np.ndarray:
+    def run_round(self, state: RoundState, dev) -> np.ndarray:
         g = state.grouping
-        return incident_edges(
+        idx = incident_edges(
             state.frontier, state.frontier_mask, g.src,
             state.out_ptr, g.order_by_src, state.in_ptr, g.order_by_dst,
         )
-
-    def run_round(self, state: RoundState, dev) -> np.ndarray:
-        idx = self._select_edges(state)
-        changed_v, compress_work = _scatter_round(state, idx)
+        changed_v, compress_work = push_round(
+            state.sigs, g.src[idx], g.dst[idx], state.num_vertices,
+            compress=state.compress,
+        )
         enqueues = int(np.count_nonzero(changed_v))
         charge_frontier_round(
             dev,
@@ -311,7 +241,7 @@ class FrontierPushPolicy(PropagationPolicy):
         return seconds
 
 
-class DensePushPolicy(FrontierPushPolicy):
+class DensePushPolicy(PropagationPolicy):
     """Scatter-max over *all* worklist edges — the push dual of ``dense``.
 
     Registered to prove the direction axis: same coverage as the dense
@@ -327,15 +257,14 @@ class DensePushPolicy(FrontierPushPolicy):
     name = "dense-push"
     direction = "push"
 
-    def _select_edges(self, state: RoundState) -> np.ndarray:
-        return np.arange(state.grouping.num_edges, dtype=np.int64)
-
     def run_round(self, state: RoundState, dev) -> np.ndarray:
-        idx = self._select_edges(state)
-        changed_v, compress_work = _scatter_round(state, idx)
+        g = state.grouping
+        changed_v, compress_work = push_round(
+            state.sigs, g.src, g.dst, state.num_vertices, compress=state.compress
+        )
         enqueues = int(np.count_nonzero(changed_v))
         charge_dense_round(
-            dev, edges=idx.size, vertices=compress_work, enqueues=enqueues
+            dev, edges=g.num_edges, vertices=compress_work, enqueues=enqueues
         )
         return changed_v
 

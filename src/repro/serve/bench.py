@@ -172,19 +172,6 @@ def _resolve_deletions(spec: JobSpec, initial_edges) -> JobSpec:
     )
 
 
-def _percentile(values: "list[float]", q: float) -> "float | None":
-    """Nearest-rank order statistic from a sorted list (test reference).
-
-    Kept as the exact reference the streaming histogram's bounded-error
-    quantiles are checked against (``tests/test_obs.py``); the bench
-    rows themselves now report histogram quantiles.
-    """
-    if not values:
-        return None
-    rank = max(1, min(len(values), int(np.ceil(q / 100.0 * len(values)))))
-    return float(sorted(values)[rank - 1])
-
-
 def run_serve_bench(
     cfg: ServeBenchConfig, *, verify: bool = False, obs: Any = None
 ) -> "dict[str, Any]":

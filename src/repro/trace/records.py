@@ -222,8 +222,24 @@ class Trace:
         return tuple(reversed(names))
 
     def iter_paths(self) -> "Iterator[tuple[tuple[str, ...], SpanRecord]]":
+        """Every span with its :meth:`span_path`, in start order.
+
+        Linear in the span count: spans are recorded in start order, so
+        a parent's path is built before its children's, and each path
+        extends its parent's.  A span listed before its parent falls
+        back to :meth:`span_path`.
+        """
+        ids = {s.span_id for s in self.spans}
+        paths: "dict[int, tuple[str, ...]]" = {}
         for s in self.spans:
-            yield self.span_path(s), s
+            if s.parent_id not in ids:
+                path = (s.name,)
+            elif s.parent_id in paths:
+                path = paths[s.parent_id] + (s.name,)
+            else:
+                path = self.span_path(s)
+            paths[s.span_id] = path
+            yield path, s
 
     # ------------------------------------------------------------------
     # JSONL convenience (implementation in repro.trace.jsonl)

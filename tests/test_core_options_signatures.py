@@ -1,10 +1,14 @@
-"""Tests for EclOptions and the Signatures helper."""
+"""Tests for EclOptions, the Signatures helper and path compression."""
 
 import numpy as np
 import pytest
 
 from repro.core import ALL_OFF, ALL_ON, EclOptions, Signatures, ablation_variants
+from repro.engine.relax import compress_paths, rose, snapshot
 from repro.errors import AlgorithmError
+
+#: an empty vertex set: runs one half of compress_paths alone
+NOBODY = np.empty(0, dtype=np.int64)
 
 
 class TestOptions:
@@ -102,13 +106,16 @@ class TestSignatures:
         s = Signatures.identity(4)
         # chain 0 -> 1 -> 2 -> 3 in the out-signature
         s.sig_out = np.array([1, 2, 3, 3])
-        changed = s.pointer_jump()
-        assert changed
+        snap = snapshot(s)
+        compress_paths(s, None, NOBODY)
+        assert rose(s, snap).any()
         assert s.sig_out.tolist() == [2, 3, 3, 3]
 
     def test_pointer_jump_fixed_point(self):
         s = Signatures.identity(4)
-        assert not s.pointer_jump()
+        snap = snapshot(s)
+        compress_paths(s, None, NOBODY)
+        assert not rose(s, snap).any()
 
     def test_feedback_cross_rule(self):
         # v=0 with in=2 (ancestor 2), out=1 (descendant 1):
@@ -116,8 +123,9 @@ class TestSignatures:
         s = Signatures.identity(3)
         s.sig_in = np.array([2, 1, 2])
         s.sig_out = np.array([1, 1, 2])
-        changed = s.feedback(np.array([0]))
-        assert changed
+        snap = snapshot(s)
+        compress_paths(s, NOBODY, np.array([0]))
+        assert rose(s, snap).any()
         assert s.sig_in[1] == 2      # in[out[0]] absorbed in[0]
         assert s.sig_out[2] >= 1     # out[in[0]] absorbed out[0] (no-op here)
 
@@ -127,10 +135,12 @@ class TestSignatures:
         s.sig_in = np.sort(rng.integers(0, 6, 6))  # arbitrary but valid IDs
         before_in = s.sig_in.copy()
         before_out = s.sig_out.copy()
-        s.feedback()
+        compress_paths(s, NOBODY, None)
         assert np.all(s.sig_in >= before_in)
         assert np.all(s.sig_out >= before_out)
 
     def test_feedback_no_change_returns_false(self):
         s = Signatures.identity(3)
-        assert not s.feedback()
+        snap = snapshot(s)
+        compress_paths(s, NOBODY, None)
+        assert not rose(s, snap).any()

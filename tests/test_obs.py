@@ -21,6 +21,7 @@ The contract (docs/observability.md §10):
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,8 +48,20 @@ from repro.serve import (
     ServeBenchConfig,
     run_serve_bench,
 )
-from repro.serve.bench import _percentile
 from repro.trace import SCHEMA_VERSION, SampleRecord, TimelineRecord, Trace
+
+
+def _percentile(values: "list[float]", q: float) -> "float | None":
+    """Nearest-rank order statistic from a sorted list.
+
+    The exact reference the streaming histogram's bounded-error
+    quantiles are checked against; the bench rows report histogram
+    quantiles.
+    """
+    if not values:
+        return None
+    rank = max(1, min(len(values), int(np.ceil(q / 100.0 * len(values)))))
+    return float(sorted(values)[rank - 1])
 
 
 # ---------------------------------------------------------------------------

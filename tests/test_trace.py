@@ -33,6 +33,7 @@ from repro.trace import (
     loads_jsonl,
     render_summary,
 )
+from repro.trace.records import SpanRecord, Trace
 from repro.trace.tracer import _NULL_SPAN
 
 
@@ -101,6 +102,37 @@ class TestSpanNesting:
         kids = trace.children_of(trace.spans[0])
         assert [s.name for s in kids] == ["inner", "inner"]
         assert trace.span_path(trace.spans[1]) == ("outer", "inner")
+
+    def test_iter_paths_match_span_path(self):
+        """The one-pass paths equal the per-span walk, on nested and
+        sibling spans, a trace reloaded from JSONL, a span whose parent
+        is missing and one listed before its parent."""
+        tr = Tracer(clock=fake_clock())
+        with tr.span("solve"):
+            for i in range(2):
+                with tr.span("outer-iteration", index=i):
+                    with tr.span("phase2-propagate"):
+                        with tr.span("round"):
+                            pass
+                    with tr.span("phase3-filter"):
+                        pass
+        with tr.span("solve"):
+            pass
+        trace = tr.finish()
+        orphan = SpanRecord("orphan", 100, parent_id=99, depth=3, t_start=0.0)
+        late_child = SpanRecord("late-child", 101, parent_id=102, depth=1,
+                                t_start=0.0)
+        late_parent = SpanRecord("late-parent", 102, parent_id=0, depth=0,
+                                 t_start=0.0)
+        odd = Trace(spans=trace.spans + [orphan, late_child, late_parent])
+        for t in (trace, loads_jsonl(dumps_jsonl(trace)), odd):
+            got = list(t.iter_paths())
+            assert [s for _, s in got] == t.spans
+            assert [p for p, _ in got] == [t.span_path(s) for s in t.spans]
+        assert dict((s.name, p) for p, s in odd.iter_paths())["late-child"] \
+            == ("solve", "late-parent", "late-child")
+        assert ("solve", "outer-iteration", "phase2-propagate", "round") in \
+            [p for p, _ in trace.iter_paths()]
 
 
 class TestJsonlRoundTrip:
