@@ -1,10 +1,9 @@
 """Microbenchmarks of the building-block kernels (Python wall time).
 
 Not a paper table — these track the implementation's own hot paths so
-regressions in the NumPy formulations (the relaxation library's pull,
-push and compression bodies, worklist compaction, the frontier,
-adaptive and async drains, CSR construction, Tarjan) are visible in
-CI.
+regressions in the NumPy formulations (the relaxation library's push
+and compression bodies, worklist compaction, the frontier, adaptive
+and async drains, CSR construction, Tarjan) are visible in CI.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.core import (
 )
 from repro.device import A100, VirtualDevice
 from repro.engine import AdaptiveScheduler, get_backend
-from repro.engine.relax import pull
+from repro.engine.relax import push
 from repro.graph import CSRGraph, rmat_graph
 from repro.mesh import beam_hex, build_sweep_graph, ordinates_3d
 
@@ -50,9 +49,8 @@ def test_edge_grouping_build(benchmark, medium_graph):
 
 def test_relax_round(benchmark, medium_graph):
     src, dst = medium_graph.edges()
-    grouping = EdgeGrouping.build(src, dst)
     sigs = Signatures.identity(medium_graph.num_vertices)
-    benchmark(lambda: pull(sigs, grouping, compress=True))
+    benchmark(lambda: push(sigs, src, dst, compress=True))
 
 
 def test_phase3_compaction(benchmark, medium_graph):
@@ -105,7 +103,8 @@ def test_frontier_drain(benchmark, sweep_graph):
 
 def test_adaptive_drain(benchmark, sweep_graph):
     """The same drain with the adaptive scheduler picking each round's
-    policy: dense pull rounds while the frontier is dense, push after."""
+    policy: dense rounds while the frontier is dense, frontier rounds
+    after."""
     src, dst = sweep_graph.edges()
     n = sweep_graph.num_vertices
     grouping = EdgeGrouping.build(src, dst)
@@ -128,17 +127,17 @@ def test_adaptive_drain(benchmark, sweep_graph):
 @pytest.mark.parametrize(
     "opts, expected",
     [
-        # path compression converges in full-width pull rounds only
+        # path compression converges in full-width rounds only
         (ALL_ON, (2, 5)),
-        # plain relaxation: blocks exit, and the narrow rounds push
+        # plain relaxation: blocks exit, and the front turns narrow
         (ALL_ON.disabling("path_compression"), (2, 36)),
     ],
     ids=["compress", "plain"],
 )
 def test_async_drain(benchmark, sweep_graph, opts, expected):
     """One async Phase 2 from identity signatures, 64-edge blocks:
-    full-width pull rounds while most blocks run, push rounds once the
-    active front is narrow."""
+    full-width rounds while most blocks run, endpoint-compressing rounds
+    once the active front is narrow."""
     src, dst = sweep_graph.edges()
     n = sweep_graph.num_vertices
     bounds = VirtualDevice(A100).partition_edges(

@@ -44,7 +44,7 @@ def propagate_atomic(
 ) -> int:
     """Phase 2 with two atomic max operations per edge.  Returns rounds.
 
-    Rounds iterate to the same fixed point as the reduceat engine; path
+    Rounds iterate to the same fixed point as the sync engine; path
     compression (when enabled in *opts*) applies the same pointer-jump
     and feedback steps so results stay bit-identical across engines.
     """

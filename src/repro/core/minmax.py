@@ -12,11 +12,14 @@ fixed point ``min_in[v]`` is the smallest ID among ancestors-or-self and
 ``min_out[v]`` the smallest among descendants-or-self; their equality
 forces the common value to lie in v's SCC and equal the SCC minimum, so
 completion-by-min identifies components exactly like completion-by-max.
+
+The minimums are stored negated (``neg_in = -min_in``), so
+min-propagation is the same scatter-max as max-propagation
+(:func:`~repro.engine.relax.push`) and one diff
+(:func:`~repro.engine.relax.rose`) finds every change.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from ..engine import (
     scc_edge_filter_mask,
 )
 from ..engine.accounting import QUAD_SIGNATURE_EDGE_BYTES
+from ..engine.relax import push, rose, snapshot
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
@@ -39,58 +43,12 @@ from ..results import count_sccs
 from ..trace import Tracer, ensure_tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .eclscc import EclResult
+from .signatures import Signatures
 
 #: four signature arrays touched per vertex in init/completion scans
 _QUAD_VERTEX_BYTES = 32
 
 __all__ = ["minmax_scc"]
-
-
-@dataclass
-class _Quad:
-    max_in: np.ndarray
-    max_out: np.ndarray
-    min_in: np.ndarray
-    min_out: np.ndarray
-
-    @classmethod
-    def identity(cls, n: int) -> "_Quad":
-        ident = np.arange(n, dtype=VERTEX_DTYPE)
-        return cls(ident.copy(), ident.copy(), ident.copy(), ident.copy())
-
-    def reinit(self) -> None:
-        n = self.max_in.size
-        ident = np.arange(n, dtype=VERTEX_DTYPE)
-        for a in (self.max_in, self.max_out, self.min_in, self.min_out):
-            a[:] = ident
-
-
-def _relax(quad: _Quad, src, dst, order_s, starts_s, grp_s, order_d, starts_d, grp_d) -> bool:
-    """One Jacobi round over all four signature arrays."""
-    changed = False
-    # out-signatures: per-source extrema of destination values
-    for sig, ufunc, cmp in (
-        (quad.max_out, np.maximum, np.greater),
-        (quad.min_out, np.minimum, np.less),
-    ):
-        best = ufunc.reduceat(sig[dst][order_s], starts_s)
-        cur = sig[grp_s]
-        upd = cmp(best, cur)
-        if upd.any():
-            sig[grp_s[upd]] = best[upd]
-            changed = True
-    # in-signatures: per-destination extrema of source values
-    for sig, ufunc, cmp in (
-        (quad.max_in, np.maximum, np.greater),
-        (quad.min_in, np.minimum, np.less),
-    ):
-        best = ufunc.reduceat(sig[src][order_d], starts_d)
-        cur = sig[grp_d]
-        upd = cmp(best, cur)
-        if upd.any():
-            sig[grp_d[upd]] = best[upd]
-            changed = True
-    return changed
 
 
 def minmax_scc(
@@ -120,7 +78,6 @@ def minmax_scc(
             estimate=device.estimate(0, 0, signatures=4),
         )
     src, dst = (a.copy() for a in graph.edges())
-    quad = _Quad.identity(n)
     active = np.ones(n, dtype=bool)
     outer = 0
     total_rounds = 0
@@ -133,7 +90,8 @@ def minmax_scc(
             raise ConvergenceError("minmax ECL-SCC failed to converge")
         with tr.span("outer-iteration", index=outer) as outer_span:
             with tr.span("phase1-init"):
-                quad.reinit()
+                maxs = Signatures.identity(n)
+                negs = Signatures(-maxs.sig_in, -maxs.sig_out)
                 charge_vertex_scan(
                     device, be, num_vertices=n,
                     worklist_size=int(np.count_nonzero(active)),
@@ -142,10 +100,6 @@ def minmax_scc(
             rounds = 0
             with tr.span("phase2-propagate", edges=int(src.size)) as p2:
                 if src.size:
-                    order_s = np.argsort(src, kind="stable")
-                    grp_s, starts_s = np.unique(src[order_s], return_index=True)
-                    order_d = np.argsort(dst, kind="stable")
-                    grp_d, starts_d = np.unique(dst[order_d], return_index=True)
                     while True:
                         rounds += 1
                         if rounds > n + 2:
@@ -153,9 +107,11 @@ def minmax_scc(
                                 "minmax Phase 2 failed to converge"
                             )
                         tr.counter("relaxation-round", engine="minmax")
-                        changed = _relax(
-                            quad, src, dst,
-                            order_s, starts_s, grp_s, order_d, starts_d, grp_d,
+                        snap_max, snap_neg = snapshot(maxs), snapshot(negs)
+                        push(maxs, src, dst, compress=False)
+                        push(negs, src, dst, compress=False)
+                        changed = (
+                            rose(maxs, snap_max).any() or rose(negs, snap_neg).any()
                         )
                         charge_relaxation_round(
                             device, edges=int(src.size),
@@ -166,12 +122,11 @@ def minmax_scc(
                             break
                     total_rounds += rounds
                 p2.set(rounds=rounds)
-            done_max = quad.max_in == quad.max_out
-            done_min = quad.min_in == quad.min_out
-            done = done_max | done_min
+            done_max = maxs.completed()
+            done = done_max | negs.completed()
             newly = done & active
             # prefer the max label; fall back to the (negated) min label
-            lab = np.where(done_max, quad.max_in, -quad.min_in - 1)
+            lab = np.where(done_max, maxs.sig_in, negs.sig_in - 1)
             labels[newly] = lab[newly]
             completed_per_iteration.append(int(np.count_nonzero(newly)))
             scanned = int(np.count_nonzero(active))
@@ -185,11 +140,11 @@ def minmax_scc(
                 if src.size:
                     keep = (
                         scc_edge_filter_mask(
-                            quad.max_in, quad.max_out, src, dst,
+                            maxs.sig_in, maxs.sig_out, src, dst,
                             drop_completed=False,
                         )
                         & scc_edge_filter_mask(
-                            quad.min_in, quad.min_out, src, dst,
+                            negs.sig_in, negs.sig_out, src, dst,
                             drop_completed=False,
                         )
                         & ~done[src]

@@ -101,8 +101,8 @@ class EclOptions:
         of re-relaxing every surviving edge to quiescence.
         ``"adaptive"`` keeps the frontier engine's drain structure but
         lets an :class:`~repro.engine.scheduler.AdaptiveScheduler` pick
-        the propagation policy (dense pull sweep vs. frontier push
-        worklist, :mod:`repro.engine.policy`) *per round* from frontier
+        the propagation policy (dense sweep vs. frontier worklist,
+        :mod:`repro.engine.policy`) *per round* from frontier
         density, average frontier degree, and the running
         launch-overhead/bandwidth ratio.
     backend:

@@ -17,8 +17,8 @@ The engines implement the modelled kernel organizations:
   each outer iteration from the *invalidated* vertices only
   (cross-iteration frontier reuse) instead of re-relaxing every
   surviving edge to quiescence.  The ``frontier`` engine runs every
-  round as the registered ``frontier`` policy
-  (:class:`~repro.engine.policy.FrontierPushPolicy`); the ``adaptive``
+  round as the ``frontier`` policy
+  (:data:`~repro.engine.policy.FRONTIER`); the ``adaptive``
   engine passes an :class:`~repro.engine.scheduler.AdaptiveScheduler`
   that picks each round's
   :class:`~repro.engine.policy.PropagationPolicy` from frontier
@@ -35,15 +35,12 @@ engines.
 
 Vectorization: every engine is a schedule over the round bodies of
 :mod:`repro.engine.relax`: ``push`` (``np.maximum.at`` over an edge
-subset), ``pull`` (gather + ``np.maximum.reduceat`` over an
-:class:`EdgeGrouping`, built once per outer iteration because the
-worklist only changes in Phase 3) and ``compress_paths``.  With NumPy
-2.4, ``ufunc.at`` is not slower than the grouped ``reduceat``: one
-direction of a full relaxation takes 5.6 vs 14.3 us on a beam_hex(4)
-sweep graph and 1.59 vs 1.73 ms on flickr at scale 1/32 (best of 15,
-2-vCPU x86-64 VM).  What made push rounds slow was compressing one
-copy of each endpoint per incident edge; the library compresses each
-distinct endpoint once.
+subset) and ``compress_paths``.  The engines differ only in which edges
+they hand ``push`` and in which vertices they compress.  With NumPy
+2.4, ``ufunc.at`` is faster than a segment max by sort-grouped
+``np.maximum.reduceat``: one direction of a full relaxation takes 5.6
+vs 14.3 us on a beam_hex(4) sweep graph and 1.59 vs 1.73 ms on flickr
+at scale 1/32 (best of 15, 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -59,9 +56,9 @@ from ..engine.accounting import (
     charge_relaxation_round,
 )
 from ..engine.backend import ArrayBackend
-from ..engine.policy import RoundState, get_policy
+from ..engine.policy import FRONTIER, RoundState
 from ..engine.primitives import build_vertex_incidence
-from ..engine.relax import pull_round, push_round
+from ..engine.relax import full_round, push_round
 from ..engine.scheduler import AdaptiveScheduler
 from ..errors import ConvergenceError
 from ..trace import NULL_TRACER, Tracer
@@ -81,42 +78,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EdgeGrouping:
-    """Segment-max scaffolding for one static edge array pair.
+    """One static edge array pair plus the views a round reads.
 
-    :func:`~repro.engine.relax.pull` performs one Jacobi relaxation round
-    over these edges: every edge (u -> v) proposes ``sig_out[v]`` to u's
-    out-signature and ``sig_in[u]`` to v's in-signature (Algorithm 1
-    lines 10-11).
+    ``order_by_src``/``order_by_dst`` are the stable orders in which the
+    frontier gather walks each vertex's out- and in-bucket
+    (:func:`~repro.engine.primitives.incident_edges`); ``touched`` holds
+    the distinct endpoints, the feedback set of a full-width round
+    (:func:`~repro.engine.relax.full_round`).
     """
 
     src: np.ndarray
     dst: np.ndarray
-    # grouping of edges by source vertex (for out-signature maxima)
     order_by_src: np.ndarray
-    group_src: np.ndarray        # unique source vertices
-    starts_src: np.ndarray       # reduceat boundaries into order_by_src
-    # grouping of edges by destination vertex (for in-signature maxima)
     order_by_dst: np.ndarray
-    group_dst: np.ndarray
-    starts_dst: np.ndarray
     touched: np.ndarray          # unique endpoint vertices of this edge set
 
     @classmethod
     def build(cls, src: np.ndarray, dst: np.ndarray) -> "EdgeGrouping":
-        order_s = np.argsort(src, kind="stable")
-        group_s, starts_s = np.unique(src[order_s], return_index=True)
-        order_d = np.argsort(dst, kind="stable")
-        group_d, starts_d = np.unique(dst[order_d], return_index=True)
-        touched = sorted_unique(np.concatenate([group_s, group_d]))
+        touched = sorted_unique(np.concatenate([src, dst]))
         return cls(
             src=src,
             dst=dst,
-            order_by_src=order_s,
-            group_src=group_s.astype(VERTEX_DTYPE, copy=False),
-            starts_src=starts_s,
-            order_by_dst=order_d,
-            group_dst=group_d.astype(VERTEX_DTYPE, copy=False),
-            starts_dst=starts_d,
+            order_by_src=np.argsort(src, kind="stable"),
+            order_by_dst=np.argsort(dst, kind="stable"),
             touched=touched.astype(VERTEX_DTYPE, copy=False),
         )
 
@@ -130,9 +114,9 @@ class BlockPartition:
     """Edge worklist split into contiguous per-thread-block chunks.
 
     Holds one :class:`EdgeGrouping` over the *whole* worklist plus the
-    chunk boundaries; the async engine neutralizes the edges of exited
-    blocks instead of materializing per-block groupings, which keeps the
-    per-round cost a handful of full-array NumPy operations.
+    chunk boundaries; the async engine gathers the running blocks' edges
+    from the chunk sizes each round instead of materializing per-block
+    groupings.
     """
 
     grouping: EdgeGrouping
@@ -205,8 +189,9 @@ def propagate_sync(
         rounds += 1
         _bounds_check(rounds, bound, "propagate_sync", sigs)
         tracer.counter("relaxation-round", engine="sync")
-        changed_v, compress_work = pull_round(
-            sigs, grouping, num_vertices, compress=opts.path_compression
+        changed_v, compress_work = full_round(
+            sigs, grouping.src, grouping.dst, grouping.touched, num_vertices,
+            compress=opts.path_compression,
         )
         charge_relaxation_round(
             dev,
@@ -241,12 +226,13 @@ def propagate_async(
     ends when every block has terminated; launches repeat until a launch
     observes no change at all.
 
-    Simulation: lockstep rounds with the edges of exited blocks excluded.
-    While most blocks are active the round is a full-array segment-max
-    with neutralized candidates (:func:`~repro.engine.relax.pull_round`);
-    once the active front shrinks, rounds switch to a scatter-max over
-    just the active blocks' edges (:func:`~repro.engine.relax.push_round`),
-    so wall time tracks the work the modelled device actually performs.  Work
+    Simulation: lockstep rounds over the running blocks' edges (every
+    edge while all blocks run).  While most edges are active the round
+    compresses like a sync round
+    (:func:`~repro.engine.relax.full_round`); once the active front
+    shrinks, it compresses only the relaxed endpoints
+    (:func:`~repro.engine.relax.push_round`), so wall time tracks the
+    work the modelled device actually performs.  Work
     accounting is honest about the persistent-thread trade-off: every
     round of a still-running block processes *all* of its edges,
     converged or not, so large persistent-thread chunks buy fewer
@@ -260,7 +246,6 @@ def propagate_async(
     total_rounds = 0
     g = partition.grouping
     src, dst = g.src, g.dst
-    bounds = partition.bounds
     chunk_sizes = partition.chunk_sizes
     nblocks = partition.num_blocks
     # persistent grids never exceed the resident-block count, regardless of
@@ -280,45 +265,33 @@ def propagate_async(
             total_rounds += 1
             _bounds_check(total_rounds, bound, "propagate_async rounds", sigs)
             tracer.counter("relaxation-round", engine="async")
-            active_edges = int(chunk_sizes[running].sum())
+            rb = np.flatnonzero(running)
+            sizes = chunk_sizes[rb]
+            active_edges = int(sizes.sum())
             launch_edge_work += active_edges
-            if active_edges > m // 4:
-                # ---- full-width round: neutralized segment max ----------
-                edge_active = (
-                    None if running.all() else np.repeat(running, chunk_sizes)
-                )
-                changed_v, compress_work = pull_round(
-                    sigs, g, num_vertices, compress=opts.path_compression,
-                    edge_active=edge_active,
-                )
-                launch_vertex_work += compress_work
-                # deactivate: a block exits when no endpoint of its edges moved
-                if changed_v.any():
-                    launch_changed = True
-                    upd_edge = changed_v[src] | changed_v[dst]
-                    running &= np.logical_or.reduceat(upd_edge, bounds[:-1])
-                else:
-                    running[:] = False
+            if rb.size == nblocks:
+                s, d = src, dst
             else:
-                # ---- narrow front: scatter-max over active edges only ----
-                rb = np.flatnonzero(running)
                 idx = np.flatnonzero(np.repeat(running, chunk_sizes))
                 s, d = src[idx], dst[idx]
+            if active_edges > m // 4:
+                changed_v, compress_work = full_round(
+                    sigs, s, d, g.touched, num_vertices,
+                    compress=opts.path_compression,
+                )
+            else:
                 changed_v, compress_work = push_round(
                     sigs, s, d, num_vertices, compress=opts.path_compression
                 )
-                launch_vertex_work += compress_work
-                if changed_v.any():
-                    launch_changed = True
-                    upd_sub = changed_v[s] | changed_v[d]
-                    # per-active-block boundaries within the subset
-                    sub_bounds = np.concatenate(
-                        [[0], np.cumsum(chunk_sizes[rb])]
-                    )[:-1]
-                    alive_sub = np.logical_or.reduceat(upd_sub, sub_bounds)
-                    running[rb[~alive_sub]] = False
-                else:
-                    running[:] = False
+            launch_vertex_work += compress_work
+            if changed_v.any():
+                launch_changed = True
+                # a block exits when no endpoint of its edges moved
+                upd = changed_v[s] | changed_v[d]
+                starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+                running[rb[~np.logical_or.reduceat(upd, starts)]] = False
+            else:
+                running[:] = False
         charge_relaxation_round(
             dev,
             edges=launch_edge_work,
@@ -418,7 +391,7 @@ def propagate_frontier(
     if tally:
         scheduler.note_launches(1, blocks=blocks)
     rounds = 0
-    policy = get_policy("frontier")
+    policy = FRONTIER
     state = RoundState(
         sigs=sigs,
         grouping=grouping,

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.signatures import Signatures
 from ..engine.primitives import scc_edge_filter_mask
+from ..engine.relax import compress_paths, push, rose, snapshot
 from ..engine.scheduler import DENSITY_THRESHOLD
 from ..errors import AlgorithmError, ConvergenceError, RankLossError
 from ..faults.inject import FaultInjector
@@ -149,9 +151,8 @@ def distributed_ecl_scc(
     # holding an edge that reads it.  We approximate the fan-out as 1
     # message per (boundary vertex, reading rank) pair via the cut-edge
     # counts per rank — the standard halo-exchange volume.
-    ident = np.arange(n, dtype=VERTEX_DTYPE)
-    sig_in = ident.copy()
-    sig_out = ident.copy()
+    sigs = Signatures.identity(n)
+    no_feedback = np.empty(0, dtype=VERTEX_DTYPE)
     active = np.ones(n, dtype=bool)
     outer = 0
     supersteps = 0
@@ -165,12 +166,10 @@ def distributed_ecl_scc(
             # partial re-init: completed vertices keep (label:label);
             # no surviving edge reads them (see scc_edge_filter_mask)
             seeds = np.flatnonzero(active)
-            sig_in[seeds] = seeds
-            sig_out[seeds] = seeds
+            sigs.reinit(seeds)
             init_ops = np.bincount(owner[seeds], minlength=r) * 2.0
         else:
-            sig_in[:] = ident
-            sig_out[:] = ident
+            sigs.reinit()
             init_ops = np.bincount(owner, minlength=r) * 2.0
         # per-rank local edge counts for this iteration's worklist
         edges_per_rank = np.bincount(owner[src], minlength=r) if src.size else np.zeros(r)
@@ -197,8 +196,8 @@ def distributed_ecl_scc(
                     "distributed Phase 2 failed to converge",
                     iterations=rounds - 1,
                     labels=labels.copy(),
-                    sig_in=sig_in.copy(),
-                    sig_out=sig_out.copy(),
+                    sig_in=sigs.sig_in.copy(),
+                    sig_out=sigs.sig_out.copy(),
                     active_count=int(np.count_nonzero(active)),
                 )
             # local relax (Jacobi; sources' ranks do the work).  The
@@ -210,25 +209,17 @@ def distributed_ecl_scc(
                 rs, rd = src[sel], dst[sel]
             else:
                 rs, rd = src, dst
-            prev_in, prev_out = sig_in, sig_out
-            new_out = sig_out.copy()
-            np.maximum.at(new_out, rs, sig_out[rd])
-            new_in = sig_in.copy()
-            np.maximum.at(new_in, rd, sig_in[rs])
-            changed_v = (new_out != sig_out) | (new_in != sig_in)
-            sig_out, sig_in = new_out, new_in
+            snap = snapshot(sigs)
+            push(sigs, rs, rd, compress=False)
             # BSP pointer jumping (one request/reply gather superstep):
             # signatures are vertex IDs, so in[in[v]] / out[out[v]] are
             # remote lookups when the pointed-to vertex lives elsewhere —
             # the standard distributed pointer-doubling of BSP
-            # connectivity algorithms, giving O(log) rounds.
-            ji = sig_in[sig_in]
-            jo = sig_out[sig_out]
-            jump_changed = (ji != sig_in) | (jo != sig_out)
-            # each rank requests every *distinct* remote pointer target
-            # once (batched gather), then receives one reply per request
+            # connectivity algorithms, giving O(log) rounds.  Each rank
+            # requests every *distinct* remote pointer target once
+            # (batched gather), then receives one reply per request.
             jump_msgs = np.zeros(r, dtype=np.int64)
-            for sig in (sig_in, sig_out):
+            for sig in (sigs.sig_in, sigs.sig_out):
                 rem = owner[sig] != owner
                 if frontier:
                     # completed vertices do not participate in jumps;
@@ -241,8 +232,8 @@ def distributed_ecl_scc(
                     jump_msgs += 2 * np.bincount(
                         (uniq_pairs // n).astype(np.int64), minlength=r
                     )
-            sig_in, sig_out = ji, jo
-            changed_v |= jump_changed
+            compress_paths(sigs, None, no_feedback)
+            changed_v = rose(sigs, snap)
             changed = bool(changed_v.any())
             # halo exchange: updated boundary vertices ship one message
             # per cut edge that reads them (16 bytes: two signatures)
@@ -263,8 +254,8 @@ def distributed_ecl_scc(
                 if perturb.injected:
                     v = perturb.regress
                     if v.size:
-                        sig_in[v] = prev_in[v]
-                        sig_out[v] = prev_out[v]
+                        sigs.sig_in[v] = snap[0][v]
+                        sigs.sig_out[v] = snap[1][v]
                         if frontier:
                             # regressed victims re-enter the frontier so
                             # their incident edges re-relax next round
@@ -353,11 +344,11 @@ def distributed_ecl_scc(
             if not changed:
                 break
         # completion + Phase 3 (local filtering after the final exchange)
-        done = sig_in == sig_out
+        done = sigs.completed()
         newly = done & active
-        labels[newly] = sig_in[newly]
+        labels[newly] = sigs.sig_in[newly]
         active &= ~done
-        keep = scc_edge_filter_mask(sig_in, sig_out, src, dst)
+        keep = scc_edge_filter_mask(sigs.sig_in, sigs.sig_out, src, dst)
         with tr.span("superstep", index=supersteps, kind="phase3-filter"):
             cluster.superstep(
                 edges_per_rank * spec.ops_per_edge, label="phase3-filter"

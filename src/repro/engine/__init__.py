@@ -9,15 +9,15 @@ the modelled kernels sweep vertex state (topology-driven ``"dense"`` vs
 worklist-driven ``"frontier"``).  Labels never depend on the backend —
 only the accounting does.
 
-Since PR 7 the Phase-2 round step itself is pluggable too: a
-:class:`~repro.engine.policy.PropagationPolicy` (dense pull sweep,
-frontier push worklist, dense push) performs one relaxation round, and
-the :class:`~repro.engine.scheduler.AdaptiveScheduler` picks the policy
-per round for the ``adaptive`` engine.  Labels never depend on the
-policy sequence either — monotone max-propagation has a
-schedule-independent fixed point.  Every Phase-2 engine and policy runs
-its rounds through the one copy of each relaxation body (push, pull,
-path compression) in :mod:`repro.engine.relax`.
+The Phase-2 round step is a choice too: a
+:class:`~repro.engine.policy.PropagationPolicy` (the dense sweep or the
+frontier worklist) performs one relaxation round, and the
+:class:`~repro.engine.scheduler.AdaptiveScheduler` picks the policy per
+round for the ``adaptive`` engine.  Labels never depend on the policy
+sequence either — monotone max-propagation has a schedule-independent
+fixed point.  Every Phase-2 engine and policy runs its rounds through
+the one copy of each relaxation body (scatter-max push, path
+compression) in :mod:`repro.engine.relax`.
 """
 
 from .accounting import (
@@ -50,16 +50,13 @@ from .backend import (
     register_backend,
 )
 from .policy import (
-    DEFAULT_POLICIES,
-    DensePullPolicy,
-    DensePushPolicy,
-    FrontierPushPolicy,
+    DENSE,
+    FRONTIER,
+    DensePolicy,
+    FrontierPolicy,
     PropagationPolicy,
     RoundState,
     RoundStats,
-    get_policy,
-    policy_names,
-    register_policy,
 )
 from .primitives import (
     active_degrees,
@@ -118,13 +115,10 @@ __all__ = [
     "PropagationPolicy",
     "RoundState",
     "RoundStats",
-    "DensePullPolicy",
-    "DensePushPolicy",
-    "FrontierPushPolicy",
-    "register_policy",
-    "get_policy",
-    "policy_names",
-    "DEFAULT_POLICIES",
+    "DensePolicy",
+    "FrontierPolicy",
+    "DENSE",
+    "FRONTIER",
     "AdaptiveScheduler",
     "PolicyDecision",
     "DENSITY_THRESHOLD",

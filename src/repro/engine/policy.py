@@ -1,4 +1,4 @@
-"""Pluggable per-round propagation policies for ECL-SCC's Phase 2.
+"""The two per-round propagation policies of ECL-SCC's Phase 2.
 
 Historically the dense sweep and the frontier worklist were whole-run
 *engines*: the driver picked one organization up front and every
@@ -8,26 +8,16 @@ signatures, emit device charges, return the changed-vertex set — into a
 :class:`PropagationPolicy` so the organization can be chosen *per round*
 (:mod:`repro.engine.scheduler`).
 
-Two axes describe a policy:
-
-* **coverage** — a dense policy relaxes every worklist edge; a frontier
-  policy relaxes only edges incident to the current frontier.
-* **direction** — a *pull* policy computes per-vertex segment maxima
-  over grouped candidate edges (gather + ``np.maximum.reduceat``, no
-  write races); a *push* policy scatters candidates from the frontier
-  with racy plain-write maxima (the paper's §3.4 argument: monotone
-  max-propagation tolerates lost updates).
-
-The registry ships three policies: ``dense`` (pull, the sync engine's
-round), ``frontier`` (push, the frontier engine's round — the *same*
-code path :func:`~repro.core.propagation.propagate_frontier` drains
-through, so the two can never diverge in labels or charges), and
-``dense-push`` (push over all worklist edges) proving the direction axis
-is a registration choice, not a driver special case.
-
-A policy holds no relaxation code: its round selects its edges, calls
-one body of :mod:`repro.engine.relax` (``pull_round`` or
-``push_round``, shared by every Phase-2 engine) and charges the device.
+The two policies differ in *coverage*, the edges a round relaxes:
+:data:`DENSE` relaxes every worklist edge (the sync engine's round) and
+:data:`FRONTIER` only the edges incident to the current frontier (the
+frontier engine's round — the *same* object
+:func:`~repro.core.propagation.propagate_frontier` drains through, so
+the two can never diverge in labels or charges).  How one edge is
+relaxed is the same for both: a policy holds no relaxation code; its
+round selects its edges, calls one round of :mod:`repro.engine.relax`
+(``full_round`` or ``push_round``, shared by every Phase-2 engine) and
+charges the device.
 
 Correctness of mixing policies across rounds: every policy performs a
 monotone step of the same max-propagation join semilattice, a round that
@@ -46,7 +36,6 @@ import numpy as np
 
 from ..device.costmodel import STREAM_EFF, effective_bandwidth
 from ..device.spec import DeviceSpec
-from ..errors import AlgorithmError
 from .accounting import (
     ADJACENCY_EDGE_BYTES,
     PAIR_FLAG_BYTES,
@@ -56,19 +45,16 @@ from .accounting import (
     charge_frontier_round,
 )
 from .primitives import incident_edges
-from .relax import pull_round, push_round
+from .relax import full_round, push_round
 
 __all__ = [
     "RoundState",
     "RoundStats",
     "PropagationPolicy",
-    "DensePullPolicy",
-    "DensePushPolicy",
-    "FrontierPushPolicy",
-    "register_policy",
-    "get_policy",
-    "policy_names",
-    "DEFAULT_POLICIES",
+    "DensePolicy",
+    "FrontierPolicy",
+    "DENSE",
+    "FRONTIER",
 ]
 
 
@@ -85,8 +71,8 @@ class RoundState:
     #: Signatures-like object exposing ``sig_in``/``sig_out`` arrays.
     sigs: object
     #: EdgeGrouping-like object over the current edge worklist
-    #: (``src``/``dst``/``touched``/``num_edges`` plus the per-endpoint
-    #: grouping :func:`~repro.engine.relax.pull` reads).
+    #: (``src``/``dst``/``touched``/``num_edges`` plus the stable
+    #: per-endpoint orders the frontier gather reads).
     grouping: object
     #: per-direction incidence offsets of the worklist, from
     #: :func:`~repro.engine.primitives.build_vertex_incidence`: vertex
@@ -136,13 +122,10 @@ class RoundStats:
 
 
 class PropagationPolicy:
-    """One round-step strategy; stateless, registered by name."""
+    """One round-step strategy; stateless."""
 
-    #: registry key.
+    #: the name decision logs and trace events record.
     name: str = ""
-    #: relaxation direction axis: ``"pull"`` (segment max) or ``"push"``
-    #: (scatter max).
-    direction: str = ""
 
     def run_round(self, state: RoundState, dev) -> np.ndarray:
         """Run one relaxation round; charge *dev*; return changed mask."""
@@ -164,16 +147,16 @@ class PropagationPolicy:
         raise NotImplementedError
 
 
-class DensePullPolicy(PropagationPolicy):
-    """Full-worklist Jacobi segment-max round (the sync engine's step)."""
+class DensePolicy(PropagationPolicy):
+    """Full-worklist Jacobi round (the sync engine's step)."""
 
     name = "dense"
-    direction = "pull"
 
     def run_round(self, state: RoundState, dev) -> np.ndarray:
         g = state.grouping
-        changed_v, compress_work = pull_round(
-            state.sigs, g, state.num_vertices, compress=state.compress
+        changed_v, compress_work = full_round(
+            state.sigs, g.src, g.dst, g.touched, state.num_vertices,
+            compress=state.compress,
         )
         enqueues = int(np.count_nonzero(changed_v))
         charge_dense_round(
@@ -197,11 +180,10 @@ class DensePullPolicy(PropagationPolicy):
         return seconds
 
 
-class FrontierPushPolicy(PropagationPolicy):
-    """Frontier-incident scatter-max round (the frontier engine's step)."""
+class FrontierPolicy(PropagationPolicy):
+    """Frontier-incident round (the frontier engine's step)."""
 
     name = "frontier"
-    direction = "push"
 
     def run_round(self, state: RoundState, dev) -> np.ndarray:
         g = state.grouping
@@ -241,78 +223,8 @@ class FrontierPushPolicy(PropagationPolicy):
         return seconds
 
 
-class DensePushPolicy(PropagationPolicy):
-    """Scatter-max over *all* worklist edges — the push dual of ``dense``.
-
-    Registered to prove the direction axis: same coverage as the dense
-    pull sweep, same racy-scatter relaxation as the frontier policy.
-    Its streamed worklist read matches the dense charge conventions
-    (:func:`~repro.engine.accounting.charge_dense_round`), while its
-    compression work follows the push shape (restricted to the relaxed
-    endpoints rather than pointer-jumping the whole array).  Not in
-    :data:`DEFAULT_POLICIES` — the scheduler's shipped pair covers the
-    coverage axis; this one is selectable by explicit configuration.
-    """
-
-    name = "dense-push"
-    direction = "push"
-
-    def run_round(self, state: RoundState, dev) -> np.ndarray:
-        g = state.grouping
-        changed_v, compress_work = push_round(
-            state.sigs, g.src, g.dst, state.num_vertices, compress=state.compress
-        )
-        enqueues = int(np.count_nonzero(changed_v))
-        charge_dense_round(
-            dev, edges=g.num_edges, vertices=compress_work, enqueues=enqueues
-        )
-        return changed_v
-
-    def round_cost(
-        self, stats: RoundStats, spec: DeviceSpec, working_set_bytes: float
-    ) -> float:
-        bw_irr = effective_bandwidth(spec, working_set_bytes)
-        bw_str = spec.mem_bw_gbs * 1e9 * STREAM_EFF
-        m = stats.worklist_edges
-        seconds = m * ADJACENCY_EDGE_BYTES / bw_irr + m * PAIR_FLAG_BYTES / bw_str
-        if stats.compress:
-            seconds += 4 * m * SIGNATURE_PAIR_BYTES / bw_irr
-        return seconds
-
-
-_POLICIES: "dict[str, PropagationPolicy]" = {}
-
-
-def register_policy(policy: PropagationPolicy) -> PropagationPolicy:
-    """Register *policy* under ``policy.name`` (last registration wins)."""
-    if not policy.name or policy.direction not in ("push", "pull"):
-        raise AlgorithmError(
-            "a propagation policy needs a name and a direction"
-            " ('push' or 'pull')"
-        )
-    _POLICIES[policy.name] = policy
-    return policy
-
-
-def get_policy(name: str) -> PropagationPolicy:
-    """Look up a registered policy; raise listing the registry if unknown."""
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise AlgorithmError(
-            f"unknown propagation policy {name!r}; registered: "
-            + ", ".join(sorted(_POLICIES))
-        ) from None
-
-
-def policy_names() -> "list[str]":
-    """Registered policy names, sorted."""
-    return sorted(_POLICIES)
-
-
-register_policy(DensePullPolicy())
-register_policy(FrontierPushPolicy())
-register_policy(DensePushPolicy())
-
-#: the policy pair the adaptive scheduler chooses between by default.
-DEFAULT_POLICIES = ("dense", "frontier")
+#: the dense sweep; the adaptive scheduler's first candidate, so ties
+#: in its forecasts break toward it.
+DENSE = DensePolicy()
+#: the frontier worklist round.
+FRONTIER = FrontierPolicy()

@@ -1,16 +1,13 @@
 """The Phase-2 relaxation library: one copy of each round body.
 
-Every ECL-SCC Phase-2 engine is a schedule over three bodies:
+Every ECL-SCC Phase-2 engine is a schedule over two bodies:
 
 * :func:`push` — scatter-max over an edge subset.  Each edge u -> v
   proposes ``sig_out[v]`` to u's out-signature and ``sig_in[u]`` to v's
   in-signature (Algorithm 1 lines 10-11); ``np.maximum.at`` is the exact
   scatter-max that the device's racy monotone writes (or a pair of
-  ``atomicMax`` loops) converge to.
-* :func:`pull` — the same proposals as a per-vertex segment max over an
-  :class:`~repro.core.propagation.EdgeGrouping` (gather +
-  ``np.maximum.reduceat``, no write races), optionally restricted to a
-  mask of active edges.
+  ``atomicMax`` loops) converge to.  Topology-driven and data-driven
+  rounds differ only in which edges they hand it.
 * :func:`compress_paths` — the paper's path compression (§3.3): pointer
   doubling, then signature feedback, each over a vertex set or over
   every vertex.
@@ -20,20 +17,22 @@ instead of ``sig[w]`` (the paper's ``out[out[v]]`` read).
 
 The bodies only raise signatures and return nothing.  A round finds the
 vertices whose signatures rose with one diff against a copy taken at
-its start (:func:`push_round`, :func:`pull_round`, :func:`rose`):
+its start (:func:`push_round`, :func:`full_round`, :func:`rose`):
 signatures only rise, so a vertex rose during the round exactly when
 its final value differs from its start value.  Pointer doubling is a
 rise because every signature names a vertex at least as large as the
 vertex it belongs to (``sig[v] >= v``, true from the identity
 initialization on).
 
-The engines keep only their iteration structure and their device
-charges: frontier, adaptive and ``dense-push`` rounds are
-:func:`push_round` (push + compression over the relaxed endpoints);
-``dense`` and sync rounds are :func:`pull_round` (pull + full
-compression); async runs :func:`pull_round` in full-width rounds and
-:func:`push_round` in narrow ones; atomic is :func:`push` over every
-edge + full compression.
+The two round shapes differ only in their compression, which is what
+distinguishes the modelled kernels: :func:`push_round` compresses the
+relaxed endpoints (frontier and adaptive frontier rounds, async narrow
+rounds), :func:`full_round` pointer-doubles every vertex and feeds back
+over the worklist's endpoints (sync rounds, the ``dense`` policy, async
+full-width rounds).  Atomic is :func:`push` over every edge + full
+compression; the minmax variant pushes a max pair and a negated min
+pair without compression; the distributed BSP round is :func:`push`,
+then pointer doubling with no feedback.
 """
 
 from __future__ import annotations
@@ -42,12 +41,11 @@ import numpy as np
 
 __all__ = [
     "push",
-    "pull",
     "compress_paths",
     "snapshot",
     "rose",
     "push_round",
-    "pull_round",
+    "full_round",
 ]
 
 
@@ -58,29 +56,6 @@ def push(sigs, src: np.ndarray, dst: np.ndarray, *, compress: bool) -> None:
         if compress:
             cand = sig[cand]
         np.maximum.at(sig, to, cand)
-
-
-def pull(
-    sigs, grouping, *, compress: bool, edge_active: "np.ndarray | None" = None
-) -> None:
-    """Segment-max both signature directions over *grouping*'s edges.
-
-    *edge_active* is a boolean mask parallel to ``grouping.src``
-    (``None`` means every edge).  Inactive edges propose -1, so the
-    precomputed grouping is reused unchanged.
-    """
-    g = grouping
-    for sig, frm, order, starts, group in (
-        (sigs.sig_out, g.dst, g.order_by_src, g.starts_src, g.group_src),
-        (sigs.sig_in, g.src, g.order_by_dst, g.starts_dst, g.group_dst),
-    ):
-        cand = sig[frm]
-        if compress:
-            cand = sig[cand]
-        if edge_active is not None:
-            cand = np.where(edge_active, cand, -1)
-        best = np.maximum.reduceat(cand[order], starts)
-        sig[group] = np.maximum(best, sig[group], out=best)
 
 
 def compress_paths(
@@ -154,24 +129,25 @@ def push_round(
     return rose(sigs, snap), compress_work
 
 
-def pull_round(
+def full_round(
     sigs,
-    grouping,
+    src: np.ndarray,
+    dst: np.ndarray,
+    touched: np.ndarray,
     num_vertices: int,
     *,
     compress: bool,
-    edge_active: "np.ndarray | None" = None,
 ) -> "tuple[np.ndarray, int]":
-    """:func:`pull` over *grouping*, then compression over every vertex.
+    """:func:`push` over ``src -> dst``, then compression over every vertex.
 
-    Pointer doubling covers all vertices; feedback covers the
-    worklist's endpoints (``grouping.touched``).  Returns ``(changed,
-    compress_work)``.
+    Pointer doubling covers all vertices; feedback covers *touched*, the
+    worklist's endpoints (which may be more than the endpoints of the
+    edges relaxed).  Returns ``(changed, compress_work)``.
     """
     snap = snapshot(sigs)
-    pull(sigs, grouping, compress=compress, edge_active=edge_active)
+    push(sigs, src, dst, compress=compress)
     compress_work = 0
     if compress:
-        compress_paths(sigs, None, grouping.touched)
-        compress_work = num_vertices + grouping.touched.size
+        compress_paths(sigs, None, touched)
+        compress_work = num_vertices + touched.size
     return rose(sigs, snap), compress_work

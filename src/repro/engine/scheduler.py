@@ -14,9 +14,10 @@ round it
 2. forecasts each candidate policy's round seconds from the frontier
    size, the incidence-degree sum, and the worklist size
    (:meth:`~repro.engine.policy.PropagationPolicy.round_cost`);
-3. picks the cheapest (ties break toward the earlier policy in the
-   configured order), records a :class:`PolicyDecision`, and emits a
-   ``scheduler:pick`` counter event.
+3. picks the cheaper of :data:`~repro.engine.policy.DENSE` and
+   :data:`~repro.engine.policy.FRONTIER` (ties break toward dense),
+   records a :class:`PolicyDecision`, and emits a ``scheduler:pick``
+   counter event.
 
 Determinism: every input of a decision is *backend- and
 tracer-invariant*.  The running launch/bandwidth tallies are fed by
@@ -53,7 +54,7 @@ from ..device.costmodel import (
 from ..device.spec import DeviceSpec
 from ..trace import NULL_TRACER, Tracer
 from .accounting import charge_scheduler_scan
-from .policy import DEFAULT_POLICIES, PropagationPolicy, RoundStats, get_policy
+from .policy import DENSE, FRONTIER, PropagationPolicy, RoundStats
 
 __all__ = [
     "AdaptiveScheduler",
@@ -123,15 +124,11 @@ class AdaptiveScheduler:
         *,
         num_vertices: int,
         num_edges: int,
-        policies: "tuple[str, ...]" = DEFAULT_POLICIES,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.spec = spec
         self.num_vertices = int(num_vertices)
         self.working_set = working_set_of_graph(num_vertices, num_edges)
-        self.policies: "tuple[PropagationPolicy, ...]" = tuple(
-            get_policy(name) for name in policies
-        )
         self.tracer = tracer
         #: every decision of the run, in order (recovery ones included).
         self.decisions: "list[PolicyDecision]" = []
@@ -213,7 +210,7 @@ class AdaptiveScheduler:
                 scanned=False,
                 recovery=True,
             )
-            picked = get_policy("frontier")
+            picked = FRONTIER
         elif (
             # lock only on *evidence*: before the first accounted round
             # the tallies are launch-only and the ratio is degenerately
@@ -238,7 +235,7 @@ class AdaptiveScheduler:
                 launch_ratio=self.launch_ratio,
                 scanned=False,
             )
-            picked = get_policy("frontier")
+            picked = FRONTIER
         else:
             degree_sum = int(
                 (out_ptr[frontier + 1] - out_ptr[frontier]).sum()
@@ -254,7 +251,7 @@ class AdaptiveScheduler:
                 compress=compress,
             )
             picked = min(
-                self.policies,
+                (DENSE, FRONTIER),
                 key=lambda p: p.round_cost(
                     stats, self.spec, self.working_set
                 ),

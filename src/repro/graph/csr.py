@@ -93,6 +93,8 @@ class CSRGraph:
         n = int(num_vertices)
         if n < 0:
             raise GraphFormatError(f"num_vertices must be >= 0, got {n}")
+        if n > np.iinfo(INDPTR_DTYPE).max:
+            raise GraphFormatError(f"num_vertices {n} does not fit {INDPTR_DTYPE}")
         if s.size:
             lo = min(int(s.min()), int(d.min()))
             hi = max(int(s.max()), int(d.max()))

@@ -10,6 +10,8 @@ file parses in seconds, not minutes.
 from __future__ import annotations
 
 import io as _io
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Union
 
@@ -33,8 +35,15 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
+@contextmanager
 def _open_text(path: PathLike):
-    return open(path, "rt", encoding="utf-8")
+    """Open *path* as UTF-8 text; bytes that do not decode raise
+    :class:`~repro.errors.IOFormatError` wherever the body reads them."""
+    with open(path, "rt", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise IOFormatError(f"{path}: not UTF-8 text") from e
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +77,21 @@ def read_matrix_market(path: PathLike) -> CSRGraph:
             raise IOFormatError(f"{path}: bad size line {line!r}") from e
         if nnz > 0:
             try:
-                body = np.loadtxt(fh, dtype=np.float64, ndmin=2, max_rows=nnz)
+                # indices parse as integers, so "1.5" is an error rather
+                # than vertex 0; a value column is never read
+                body = np.loadtxt(
+                    fh, dtype=VERTEX_DTYPE, ndmin=2, usecols=(0, 1), max_rows=nnz
+                )
             except ValueError as e:
                 raise IOFormatError(f"{path}: could not parse entries") from e
         else:
-            body = np.empty((0, 2))
-    if body.size == 0:
-        body = body.reshape(0, 2)
-    if body.shape[1] < 2:
-        raise IOFormatError(f"{path}: entries need a row and a column")
+            body = np.empty((0, 2), dtype=VERTEX_DTYPE)
     if body.shape[0] != nnz:
         raise IOFormatError(
             f"{path}: expected {nnz} entries, found {body.shape[0]}"
         )
-    src = body[:, 0].astype(VERTEX_DTYPE) - 1
-    dst = body[:, 1].astype(VERTEX_DTYPE) - 1
+    src = body[:, 0] - 1
+    dst = body[:, 1] - 1
     n = max(rows, cols)
     if symmetry in ("symmetric", "skew-symmetric"):
         off = src != dst
@@ -207,6 +216,6 @@ def read_npz(path: PathLike) -> CSRGraph:
             indptr = data["indptr"]
             indices = data["indices"]
             name = str(data["name"]) if "name" in data else ""
-    except (KeyError, ValueError, OSError) as e:
+        return CSRGraph(indptr, indices, name=name)
+    except (KeyError, TypeError, ValueError, OSError, zipfile.BadZipFile) as e:
         raise IOFormatError(f"{path}: not a repro graph npz bundle") from e
-    return CSRGraph(indptr, indices, name=name)

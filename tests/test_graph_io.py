@@ -1,9 +1,9 @@
-"""Unit tests for repro.graph.io (MatrixMarket, edge list, DIMACS)."""
+"""Unit tests for repro.graph.io (MatrixMarket, edge list, DIMACS, npz)."""
 
 import numpy as np
 import pytest
 
-from repro.errors import IOFormatError
+from repro.errors import IOFormatError, ReproError
 from repro.graph import (
     CSRGraph,
     cycle_graph,
@@ -11,6 +11,7 @@ from repro.graph import (
     read_dimacs,
     read_edge_list,
     read_matrix_market,
+    read_npz,
     write_dimacs,
     write_edge_list,
     write_matrix_market,
@@ -163,4 +164,41 @@ def test_malformed_input_raises_ioformaterror(case, tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text(text)
     with pytest.raises(IOFormatError):
+        reader(p)
+
+
+_MTX = b"%%MatrixMarket matrix coordinate pattern general\n"
+
+# inputs that used to leak UnicodeDecodeError, OverflowError,
+# zipfile.BadZipFile, TypeError or ValueError, or (the float index)
+# loaded as a truncated edge 0 -> 1; bytes are written verbatim, a dict
+# of arrays through np.savez
+LEAKS = {
+    "mtx-non-utf8-header": (read_matrix_market, _MTX[:-1] + b"\xff\n2 2 1\n1 2\n"),
+    "dimacs-non-utf8": (read_dimacs, b"c \xff\xfe\np sp 2 1\na 1 2\n"),
+    "mtx-size-overflow": (read_matrix_market, _MTX + b"99999999999999999999 3 1\n1 2\n"),
+    "dimacs-count-overflow": (read_dimacs, b"p sp 99999999999999999999 1\na 1 2\n"),
+    "mtx-float-index": (read_matrix_market, _MTX + b"2 2 1\n1.5 2\n"),
+    "npz-bad-zip": (read_npz, b"PK\x03\x04" + b"garbage" * 8),
+    "npz-float-indptr": (
+        read_npz,
+        {"indptr": np.array([0.0, 1.0]), "indices": np.array([0]), "name": np.array("f")},
+    ),
+    "npz-2d-indptr": (
+        read_npz,
+        {"indptr": np.zeros((2, 2), dtype=np.int64), "indices": np.array([0]),
+         "name": np.array("d")},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAKS))
+def test_bad_input_raises_repro_error(case, tmp_path):
+    reader, data = LEAKS[case]
+    p = tmp_path / "bad.npz"  # np.savez keeps a given .npz suffix
+    if isinstance(data, bytes):
+        p.write_bytes(data)
+    else:
+        np.savez(p, **data)
+    with pytest.raises(ReproError):
         reader(p)

@@ -7,6 +7,8 @@ acyclicity, Phase-3 soundness, trim soundness, signature monotonicity.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from repro.analysis import partitions_equal
 from repro.baselines import coloring_scc, kosaraju_scc, multistep_scc, tarjan_scc
@@ -19,10 +21,12 @@ from repro.core import (
     ecl_scc,
     ecl_scc_reference,
     minmax_scc,
+    propagate_sync,
 )
 from repro.device import A100, VirtualDevice
-from repro.engine.relax import pull
+from repro.engine.relax import push
 from repro.graph import CSRGraph, condense, dag_depth, topological_levels
+from repro.trace import Tracer
 from repro.types import NO_VERTEX, VERTEX_DTYPE
 
 
@@ -170,14 +174,55 @@ def test_signature_monotonicity(g):
     if g.num_edges == 0:
         return
     src, dst = g.edges()
-    grouping = EdgeGrouping.build(src, dst)
     sigs = Signatures.identity(g.num_vertices)
     for _ in range(4):
         before_in = sigs.sig_in.copy()
         before_out = sigs.sig_out.copy()
-        pull(sigs, grouping, compress=True)
+        push(sigs, src, dst, compress=True)
         assert np.all(sigs.sig_in >= before_in)
         assert np.all(sigs.sig_out >= before_out)
+
+
+def _propagation_depth(g, extreme) -> int:
+    """D: the largest hop distance from a vertex u to the *extreme*
+    (``max`` or ``min``) ID that u reaches, or to u from the extreme ID
+    that reaches u — the Jacobi round by which every signature settles.
+    Reachability and distances come from SciPy alone."""
+    n = g.num_vertices
+    src, dst = g.edges()
+    adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    dist = shortest_path(adj, unweighted=True)  # dist[u, u] == 0
+    reach = np.isfinite(dist)
+    ids = np.arange(n)
+    depth = 0.0
+    for u in range(n):
+        down, up = extreme(ids[reach[u]]), extreme(ids[reach[:, u]])
+        depth = max(depth, dist[u, down], dist[up, u])
+    return int(depth)
+
+
+@given(digraphs())
+@settings(**COMMON)
+def test_sync_round_counts_match_distance_oracle(g):
+    """Without path compression, sync Phase 2 from identity signatures
+    runs 1 + D rounds (D settles every signature, one more finds
+    quiescence), one launch and m edge relaxations per round; minmax's
+    first Phase 2 runs until both its max and its min pairs settle."""
+    n, m = g.num_vertices, g.num_edges
+    d_max = _propagation_depth(g, np.max)
+    src, dst = g.edges()
+    dev = VirtualDevice(A100)
+    rounds = propagate_sync(
+        Signatures.identity(n), EdgeGrouping.build(src, dst), dev, ALL_OFF, n
+    )
+    assert rounds == 1 + d_max
+    assert dev.counters.kernel_launches == rounds
+    assert dev.counters.edge_work == rounds * m
+    tracer = Tracer()
+    minmax_scc(g, tracer=tracer)
+    first = tracer.trace.find_spans("phase2-propagate")[0]
+    expected = 1 + max(d_max, _propagation_depth(g, np.min)) if m else 0
+    assert first.attrs["rounds"] == expected
 
 
 @given(digraphs(max_m=60))
@@ -192,7 +237,6 @@ def test_phase3_never_splits_an_scc(g):
     grouping = EdgeGrouping.build(src, dst)
     sigs = Signatures.identity(g.num_vertices)
     dev = VirtualDevice(A100)
-    from repro.core import propagate_sync
     from repro.core.options import EclOptions
 
     propagate_sync(sigs, grouping, dev, EclOptions(async_phase2=False), g.num_vertices)

@@ -1,4 +1,4 @@
-"""Policy registry, adaptive scheduler, and decision-log determinism.
+"""Propagation policies, adaptive scheduler, and decision-log determinism.
 
 The PR-7 contract under test: Phase-2 propagation is a per-round policy
 choice (``repro.engine.policy``), the adaptive scheduler picks the
@@ -18,15 +18,7 @@ from repro.core import EclOptions, Signatures, ecl_scc
 from repro.core.propagation import EdgeGrouping
 from repro.device.executor import VirtualDevice
 from repro.device.spec import A100
-from repro.engine.policy import (
-    DEFAULT_POLICIES,
-    PropagationPolicy,
-    RoundState,
-    RoundStats,
-    get_policy,
-    policy_names,
-    register_policy,
-)
+from repro.engine.policy import DENSE, FRONTIER, RoundState, RoundStats
 from repro.engine.primitives import build_vertex_incidence
 from repro.engine.scheduler import (
     DENSITY_THRESHOLD,
@@ -41,38 +33,15 @@ from repro.trace import Tracer
 
 
 # ---------------------------------------------------------------------------
-# registry + direction axis
+# round-cost forecasts
 # ---------------------------------------------------------------------------
 
 class TestPolicyRegistry:
-    def test_shipped_policies(self):
-        assert set(policy_names()) >= {"dense", "frontier", "dense-push"}
-        assert DEFAULT_POLICIES == ("dense", "frontier")
-
-    def test_direction_axis(self):
-        assert get_policy("dense").direction == "pull"
-        assert get_policy("frontier").direction == "push"
-        # dense-push: dense coverage, push direction — the axis is a
-        # registration choice, not a driver special case
-        assert get_policy("dense-push").direction == "push"
-
-    def test_unknown_policy_raises_listing_registry(self):
-        with pytest.raises(AlgorithmError, match="dense"):
-            get_policy("warp")
-
-    def test_register_validates(self):
-        bad = PropagationPolicy()
-        with pytest.raises(AlgorithmError):
-            register_policy(bad)
-        bad.name = "sideways"
-        bad.direction = "diagonal"
-        with pytest.raises(AlgorithmError):
-            register_policy(bad)
+    """Round-cost forecasts of the two shipped policies."""
 
     def test_round_cost_orders_by_density(self):
         """Sparse frontiers favor the frontier policy, saturated ones the
         dense sweep — the closed form behind DENSITY_THRESHOLD."""
-        dense, frontier = get_policy("dense"), get_policy("frontier")
         ws = 1e9  # out of cache, both sides on raw DRAM bandwidth
         sparse = RoundStats(frontier_size=4, degree_sum=16,
                             worklist_edges=10_000, touched=8_000,
@@ -80,10 +49,10 @@ class TestPolicyRegistry:
         saturated = RoundStats(frontier_size=5_000, degree_sum=20_000,
                                worklist_edges=10_000, touched=8_000,
                                num_vertices=5_000, compress=False)
-        assert frontier.round_cost(sparse, A100, ws) < \
-            dense.round_cost(sparse, A100, ws)
-        assert dense.round_cost(saturated, A100, ws) < \
-            frontier.round_cost(saturated, A100, ws)
+        assert FRONTIER.round_cost(sparse, A100, ws) < \
+            DENSE.round_cost(sparse, A100, ws)
+        assert DENSE.round_cost(saturated, A100, ws) < \
+            FRONTIER.round_cost(saturated, A100, ws)
         assert 0.0 < DENSITY_THRESHOLD < 1.0
 
 
@@ -94,7 +63,7 @@ class TestPolicyRegistry:
 def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
     """Drive raw policy rounds to a fixed point; return the signatures.
 
-    *schedule* maps the round number to a policy name — the adversarial
+    *schedule* maps the round number to a policy — the adversarial
     version of what the adaptive scheduler does.
     """
     n = graph.num_vertices
@@ -112,8 +81,7 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
     for rounds in range(3 * n + 16):
         if not state.frontier.size:
             break
-        policy = get_policy(schedule(rounds))
-        changed_v = policy.run_round(state, dev)
+        changed_v = schedule(rounds).run_round(state, dev)
         state.frontier = np.flatnonzero(changed_v)
         state.frontier_mask = changed_v
     else:
@@ -123,14 +91,13 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
 
 @pytest.mark.parametrize("compress", (False, True))
 def test_any_policy_schedule_reaches_same_fixed_point(compress):
-    """dense / frontier / dense-push / alternating mixes all converge to
-    bit-identical signatures — the monotone-join argument the adaptive
-    engine's label guarantee rests on."""
+    """dense / frontier / alternating mixes all converge to bit-identical
+    signatures — the monotone-join argument the adaptive engine's label
+    guarantee rests on."""
     schedules = {
-        "all-dense": lambda r: "dense",
-        "all-frontier": lambda r: "frontier",
-        "all-dense-push": lambda r: "dense-push",
-        "alternating": lambda r: ("dense", "frontier", "dense-push")[r % 3],
+        "all-dense": lambda r: DENSE,
+        "all-frontier": lambda r: FRONTIER,
+        "alternating": lambda r: (DENSE, FRONTIER)[r % 2],
     }
     for g in (cycle_graph(17), scc_ladder(6), random_gnm(60, 240, seed=2)):
         ref = None
@@ -141,23 +108,6 @@ def test_any_policy_schedule_reaches_same_fixed_point(compress):
             else:
                 assert np.array_equal(sigs.sig_in, ref.sig_in), name
                 assert np.array_equal(sigs.sig_out, ref.sig_out), name
-
-
-def test_dense_push_labels_through_scheduler():
-    """A scheduler restricted to dense-push still yields Tarjan labels
-    (the policy is registered but outside DEFAULT_POLICIES)."""
-    sched_policies = ("dense-push",)
-    for g in (cycle_graph(9), random_gnm(40, 150, seed=4)):
-        sched = AdaptiveScheduler(
-            A100, num_vertices=g.num_vertices, num_edges=g.num_edges,
-            policies=sched_policies,
-        )
-        assert [p.name for p in sched.policies] == ["dense-push"]
-        # full adaptive run restricted via the registry-level check:
-        # dense-push rounds mixed into an ecl run stay correct
-        sigs = _run_policy_schedule(g, lambda r: "dense-push")
-        ref = _run_policy_schedule(g, lambda r: "dense")
-        assert np.array_equal(sigs.sig_in, ref.sig_in)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ are dropped): the frontier policy's ``_scatter_round``,
 compression, and ``Signatures.pointer_jump`` / ``Signatures.feedback``.
 They track every rise with a before-gather, compare and scatter; the
 library compresses each distinct endpoint once and finds the changed
-set with one diff against a snapshot.  The property below checks that
+set with one diff against a snapshot.  ``relax_masked`` is a segment
+max (gather + ``np.maximum.reduceat``) over a per-endpoint grouping of
+the edges, which :class:`_Grouping` builds here; the library relaxes
+the same edges with one scatter-max.  The properties below check that
 both give identical signatures, changed masks and compression work on
 multigraphs with self-loops and parallel edges, empty edge subsets,
-compression on and off, and partially re-initialised signatures
-(``sig[v] >= v``, the invariant every engine keeps).
+compression on and off, edge masks on and off, and partially
+re-initialised signatures (``sig[v] >= v``, the invariant every engine
+keeps).
 """
 
 from types import SimpleNamespace
@@ -21,11 +25,30 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EdgeGrouping, Signatures
-from repro.engine.relax import compress_paths, pull_round, push_round, rose, snapshot
+from repro.engine.relax import compress_paths, full_round, push_round, rose, snapshot
 
 # ---------------------------------------------------------------------------
 # reference bodies
 # ---------------------------------------------------------------------------
+
+
+class _Grouping:
+    """The segment-max scaffolding ``relax_masked`` reads: the edges
+    grouped by source and by destination (stable orders, distinct
+    endpoint ids and ``reduceat`` boundaries) plus the distinct
+    endpoints of the whole edge set."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        self.src, self.dst = src, dst
+        self.order_by_src = np.argsort(src, kind="stable")
+        self.group_src, self.starts_src = np.unique(
+            src[self.order_by_src], return_index=True
+        )
+        self.order_by_dst = np.argsort(dst, kind="stable")
+        self.group_dst, self.starts_dst = np.unique(
+            dst[self.order_by_dst], return_index=True
+        )
+        self.touched = np.unique(np.concatenate([self.group_src, self.group_dst]))
 
 
 def _scatter_round(state, idx: np.ndarray) -> "tuple[np.ndarray, int]":
@@ -261,12 +284,18 @@ def test_push_round_matches_scatter_round(c):
 
 @given(cases())
 @settings(max_examples=300, deadline=None)
-def test_pull_round_matches_dense_round(c):
-    grouping = EdgeGrouping.build(c.src, c.dst)
+def test_full_round_matches_dense_round(c):
+    """The full-width round with and without an edge mask: the mask's
+    edges are what the library scatters, the reference neutralizes the
+    rest; feedback covers every worklist endpoint either way."""
     ref, lib = _pair(c)
-    ref_changed, ref_work = _dense_round(_state(c, ref, grouping), c.mask)
-    changed, work = pull_round(
-        lib, grouping, c.n, compress=c.compress, edge_active=c.mask
+    ref_changed, ref_work = _dense_round(
+        _state(c, ref, _Grouping(c.src, c.dst)), c.mask
+    )
+    idx = np.arange(c.src.size) if c.mask is None else np.flatnonzero(c.mask)
+    touched = EdgeGrouping.build(c.src, c.dst).touched
+    changed, work = full_round(
+        lib, c.src[idx], c.dst[idx], touched, c.n, compress=c.compress
     )
     _assert_same(ref, lib)
     assert np.array_equal(changed, ref_changed)
