@@ -46,6 +46,7 @@ at scale 1/32 (best of 15, 2-vCPU x86-64 VM).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,8 +90,6 @@ class EdgeGrouping:
 
     src: np.ndarray
     dst: np.ndarray
-    order_by_src: np.ndarray
-    order_by_dst: np.ndarray
     touched: np.ndarray          # unique endpoint vertices of this edge set
 
     @classmethod
@@ -99,10 +98,18 @@ class EdgeGrouping:
         return cls(
             src=src,
             dst=dst,
-            order_by_src=np.argsort(src, kind="stable"),
-            order_by_dst=np.argsort(dst, kind="stable"),
             touched=touched.astype(VERTEX_DTYPE, copy=False),
         )
+
+    # sorted on first read: only the frontier gather walks the buckets,
+    # and a fault-recovery re-drain reuses the grouping's sort
+    @cached_property
+    def order_by_src(self) -> np.ndarray:
+        return np.argsort(self.src, kind="stable")
+
+    @cached_property
+    def order_by_dst(self) -> np.ndarray:
+        return np.argsort(self.dst, kind="stable")
 
     @property
     def num_edges(self) -> int:

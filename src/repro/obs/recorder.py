@@ -9,16 +9,23 @@ latencies into :class:`~repro.obs.timeseries.StreamingHistogram`
 sketches, and folds each newly-terminal job's decision history into a
 :class:`~repro.obs.timeline.JobTimeline`.
 
+Observation is data-driven: each call folds only the entries the
+service appended to its change log (``service.log``) since the last
+call, so it costs O(what changed), not O(pending jobs + breakers +
+tenants).  Queue depth, WIP and the cache gauges are O(1) reads and
+are polled every call.
+
 The coupling is duck-typed on purpose: ``repro.serve`` never imports
 ``repro.obs`` — any object with an ``on_event(service)`` method works
 as an observer, and the recorder only touches public service surface
-(``now``, ``queue``, ``pool``, ``metrics``, ``cache``, ``ledger``,
-``jobs``, ``breaker_for``'s backing table).
+(``now``, ``log``, ``queue``, ``pool``, ``metrics``, ``cache``,
+``ledger``, ``breaker_for``).
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Any
 
 from .timeline import JobTimeline, job_timeline
@@ -65,8 +72,7 @@ class ObsRecorder:
         self.timelines: "list[JobTimeline]" = []
         self.report: Any = None
         self._growth = growth
-        self._pending: "dict[int, Any]" = {}
-        self._jobs_cursor = 0
+        self._cursor = 0                # next unread ``service.log`` entry
         self.events_observed = 0
 
     # ------------------------------------------------------------------
@@ -75,6 +81,19 @@ class ObsRecorder:
     def on_event(self, service: Any) -> None:
         """Called by the service after each simulated event."""
         self.events_observed += 1
+        log = service.log
+        metrics: "set[str]" = set()
+        breakers: "set[str]" = set()
+        tenants: "set[str]" = set()
+        finished: "list[Any]" = []
+        touched = {"metric": metrics, "breaker": breakers, "budget": tenants}
+        for kind, key in log[self._cursor:]:
+            if kind == "terminal":
+                finished.append(key)
+            else:
+                touched[kind].add(key)
+        self._cursor = len(log)
+
         now = service.now
         reg = self.registry
         self._gauge_changed("queue_depth", now, float(len(service.queue)))
@@ -82,6 +101,9 @@ class ObsRecorder:
 
         counters = service.metrics.counters
         for name in _SAMPLED_COUNTERS:
+            # the first event starts every series, zeros included
+            if self.events_observed > 1 and name not in metrics:
+                continue
             value = float(counters.get(name, 0))
             last = reg.last(f"metric:{name}")
             if last is None or last.value != value:
@@ -96,37 +118,28 @@ class ObsRecorder:
                 self._gauge_changed("cache_hit_rate", now, hits / lookups)
             self._gauge_changed("cache_bytes", now, float(cache.bytes))
 
-        for workload, breaker in sorted(service._breakers.items()):
-            level = BREAKER_STATE_LEVELS[breaker.state.value]
+        for workload in sorted(breakers):
+            level = BREAKER_STATE_LEVELS[service.breaker_for(workload).state.value]
             self._gauge_changed(f"breaker:{workload}", now, level)
 
         ledger = service.ledger
-        for tenant, spent in ledger.snapshot().items():
+        for tenant in sorted(tenants):
             limit = ledger.budget_of(tenant).model_seconds
-            if math.isfinite(limit) and limit > 0:
+            if ledger.charged(tenant) and math.isfinite(limit) and limit > 0:
                 self._gauge_changed(
                     f"budget_util:{tenant}", now,
-                    spent["model_seconds"] / limit,
+                    ledger.spent_of(tenant)["model_seconds"] / limit,
                 )
 
-        self._sweep_jobs(service)
+        # job-id order, the order a scan of ``service.jobs`` would fold
+        for job in sorted(finished, key=attrgetter("id")):
+            self._on_terminal(job)
 
     def _gauge_changed(self, series: str, t: float, value: float) -> None:
         """Record a gauge point only when the level actually moved."""
         last = self.registry.last(series)
         if last is None or last.value != value:
             self.registry.gauge(series, t, value)
-
-    def _sweep_jobs(self, service: Any) -> None:
-        jobs = service.jobs
-        while self._jobs_cursor < len(jobs):
-            job = jobs[self._jobs_cursor]
-            self._pending[job.id] = job
-            self._jobs_cursor += 1
-        finished = [j for j in self._pending.values() if j.terminal]
-        for job in finished:
-            del self._pending[job.id]
-            self._on_terminal(job)
 
     def _on_terminal(self, job: Any) -> None:
         tl = job_timeline(job)

@@ -14,8 +14,10 @@ starving healthy workloads and inflating everyone's tail latency.  The
 * **HALF_OPEN** — exactly one probe job is in flight; its success
   closes the breaker, its failure re-opens it for another cooldown.
 
-Every transition is recorded (service metrics + trace counters) and
-listed in :meth:`CircuitBreaker.as_dict` for the service report.
+Every transition is recorded (service metrics + trace counters),
+appended to the owning service's change log as ``("breaker",
+workload)``, and listed in :meth:`CircuitBreaker.as_dict` for the
+service report.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         cooldown_s: float = 0.005,
+        log: "list | None" = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -59,11 +62,14 @@ class CircuitBreaker:
         self.reopened = 0
         self.closed_after_probe = 0
         self.transitions: "list[dict]" = []
+        #: the owning service's change log (a private list when standalone)
+        self.log: list = [] if log is None else log
 
     # ------------------------------------------------------------------
     def _transition(self, now: float, state: BreakerState) -> None:
         self.state = state
         self.transitions.append({"t": float(now), "state": str(state)})
+        self.log.append(("breaker", self.workload))
 
     def allow(self, now: float) -> bool:
         """May a job for this workload proceed at *now*?

@@ -78,6 +78,10 @@ class BudgetLedger:
     def spent_of(self, tenant: str) -> "dict[str, float]":
         return dict(self._spent.get(tenant, {"model_seconds": 0.0, "bytes": 0.0}))
 
+    def charged(self, tenant: str) -> bool:
+        """Whether *tenant* has a spend row (:meth:`snapshot` lists it)."""
+        return tenant in self._spent
+
     # ------------------------------------------------------------------
     def check(self, tenant: str) -> "BudgetExceeded | None":
         """Admission test: None when the tenant may start new work.

@@ -52,14 +52,22 @@ GAUGE_HELP = {
 
 
 class ServiceMetrics:
-    """Aggregate decision counters plus a few service-level gauges."""
+    """Aggregate decision counters plus a few service-level gauges.
 
-    def __init__(self) -> None:
+    Each :meth:`incr` also appends ``("metric", name)`` to *log*, the
+    owning service's change log (a private list when none is given).
+    """
+
+    def __init__(self, *, log: "list | None" = None) -> None:
         self.counters: "Counter[str]" = Counter()
         self.gauges: "dict[str, float]" = {}
+        self.log: list = [] if log is None else log
+        self._entries: "dict[str, tuple[str, str]]" = {}
 
     def incr(self, name: str, value: int = 1) -> None:
         self.counters[name] += value
+        # one shared entry per name: an increment costs the log one slot
+        self.log.append(self._entries.setdefault(name, ("metric", name)))
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)

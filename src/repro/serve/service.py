@@ -53,6 +53,13 @@ Decisions land in the job's history (:meth:`~repro.serve.jobs.Job.artifact`),
 :class:`~repro.serve.metrics.ServiceMetrics` counters and, with a tracer
 attached, ``serve:*`` trace counters; ``docs/observability.md`` §9 maps
 which lands where.  See ``docs/serve.md``.
+
+**Change log.** Every state change an observer samples also appends one
+``(kind, key)`` entry to the append-only :attr:`SccService.log`: a job
+reaching its terminal state, a metric counter increment, a breaker's
+creation or transition, and a tenant's charge or budget.  An observer
+keeps its own cursor into the log and reads only what was appended
+since its last call (``docs/observability.md`` §10.1).
 """
 
 from __future__ import annotations
@@ -214,11 +221,16 @@ class SccService:
             raise ValueError(f"merge_updates must be >= 1, got {merge_updates}")
         self.merge_updates = int(merge_updates)
         self.default_deadline_s = default_deadline_s
-        self.metrics = ServiceMetrics()
+        #: append-only change log, one ``(kind, key)`` entry per change:
+        #: ``("terminal", job)``, ``("metric", counter name)``,
+        #: ``("breaker", workload)`` and ``("budget", tenant)``
+        self.log: "list[tuple[str, Any]]" = []
+        self.metrics = ServiceMetrics(log=self.log)
         #: duck-typed observability hook (e.g. ``repro.obs.ObsRecorder``):
         #: any object with ``on_event(service)`` — called after every
-        #: simulated event the run loop processes.  Kept duck-typed so
-        #: this package never imports ``repro.obs``.
+        #: simulated event the run loop processes, with :attr:`log`
+        #: holding what changed.  Kept duck-typed so this package never
+        #: imports ``repro.obs``.
         self.observer = observer
         self._tr = ensure_tracer(tracer)
         self._graphs: "dict[str, DynamicGraph]" = {}
@@ -275,6 +287,7 @@ class SccService:
 
     def set_budget(self, tenant: str, budget: Budget) -> None:
         self.ledger.set_budget(tenant, budget)
+        self.log.append(("budget", tenant))
 
     def breaker_for(self, workload: str) -> CircuitBreaker:
         br = self._breakers.get(workload)
@@ -283,8 +296,10 @@ class SccService:
                 workload,
                 failure_threshold=self.breaker_threshold,
                 cooldown_s=self.breaker_cooldown_s,
+                log=self.log,
             )
             self._breakers[workload] = br
+            self.log.append(("breaker", workload))
         return br
 
     # ------------------------------------------------------------------
@@ -352,6 +367,14 @@ class SccService:
         job.record(self.now, decision, **detail)
         self._tr.counter(f"serve:{decision}", job=job.id, **detail)
 
+    def _finish(self, job: Job, state: JobState, reason: "str | None" = None) -> None:
+        job.finish(self.now, state, reason)
+        self.log.append(("terminal", job))
+
+    def _charge(self, tenant: str, *, model_seconds: float, bytes: float) -> None:
+        self.ledger.charge(tenant, model_seconds=model_seconds, bytes=bytes)
+        self.log.append(("budget", tenant))
+
     def _shed(self, job: Job, reason: str) -> None:
         counter = (
             "shed_breaker" if reason == "breaker-open" else "shed_backpressure"
@@ -365,14 +388,14 @@ class SccService:
         )
         self._shed_wait_s += waited_s
         self._decide(job, "shed", reason=reason, waited_s=waited_s)
-        job.finish(self.now, JobState.SHED, reason)
+        self._finish(job, JobState.SHED, reason)
 
     def _dead_letter(self, job: Job, reason: str) -> None:
         self.metrics.incr("dead_letter")
         if reason == "deadline":
             self.metrics.incr("deadline_expired")
         self._decide(job, "dead-letter", reason=reason)
-        job.finish(self.now, JobState.DEAD_LETTER, reason)
+        self._finish(job, JobState.DEAD_LETTER, reason)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -391,7 +414,7 @@ class SccService:
             job.error = exceeded.as_dict()
             self._decide(job, "reject-budget", resource=exceeded.resource,
                          limit=exceeded.limit, spent=exceeded.spent)
-            job.finish(self.now, JobState.REJECTED, "budget")
+            self._finish(job, JobState.REJECTED, "budget")
             return
         victim = self.queue.offer(
             job, now=self.now, busy_graphs=self._busy_graphs
@@ -538,7 +561,7 @@ class SccService:
         )
         self.metrics.incr("completed")
         self._decide(job, "complete", attempt=job.attempts, service_s=0.0)
-        job.finish(self.now, JobState.DONE)
+        self._finish(job, JobState.DONE)
 
     def _attach_follower(self, leader: Job, job: Job) -> None:
         """Coalesce *job* onto the in-flight read *leader*."""
@@ -775,7 +798,7 @@ class SccService:
             # charged whole
             share = 1.0 / (1 + len(followers))
             for member in (job, *followers):
-                self.ledger.charge(
+                self._charge(
                     member.spec.tenant,
                     model_seconds=charges["model_seconds"] * share,
                     bytes=charges["bytes"] * share,
@@ -796,7 +819,7 @@ class SccService:
             self._decide(job, "complete", attempt=job.attempts,
                          service_s=charges["model_seconds"],
                          **({"coalesced": len(followers)} if followers else {}))
-            job.finish(self.now, JobState.DONE)
+            self._finish(job, JobState.DONE)
             for i, follower in enumerate(followers, start=1):
                 self._complete_follower(job, follower, payload, charges,
                                         share, i)
@@ -808,7 +831,7 @@ class SccService:
         # partial-work charge; followers ride back to the queue head
         # for free (nothing of theirs executed — the rollback restored
         # the pre-attempt graph)
-        self.ledger.charge(
+        self._charge(
             job.spec.tenant,
             model_seconds=charges["model_seconds"],
             bytes=charges["bytes"],
@@ -876,7 +899,7 @@ class SccService:
         job.attempts_detail.append(detail)
         self.metrics.incr("completed")
         self._decide(job, "complete", leader=leader.id, service_s=0.0)
-        job.finish(self.now, JobState.DONE)
+        self._finish(job, JobState.DONE)
 
     def _cache_put(self, job: Job, payload) -> None:
         """Memoize a completed read (skipped if the generation moved on)."""

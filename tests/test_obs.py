@@ -15,7 +15,9 @@ The contract (docs/observability.md §10):
 * SLO evaluation passes a loose spec and fails a tightened one, with
   burn-rate alerts preceding exhaustion;
 * trace JSONL schema v3 round-trips ``sample``/``timeline`` lines,
-  still accepts v2/v1 files, and still rejects newer schemas.
+  still accepts v2/v1 files, and still rejects newer schemas;
+* the recorder, folding only the service's change log, samples exactly
+  what a full poll of the service would, sample for sample.
 """
 
 import json
@@ -28,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.faults import preset_plan
 from repro.graph import cycle_graph
 from repro.obs import (
+    BREAKER_STATE_LEVELS,
     ObsRecorder,
     PHASE_OF_DECISION,
     Sample,
@@ -41,11 +44,14 @@ from repro.obs import (
     export_perfetto,
     job_timeline,
 )
+from repro.obs.recorder import _SAMPLED_COUNTERS
 from repro.serve import (
+    Budget,
     JobKind,
     JobSpec,
     SccService,
     ServeBenchConfig,
+    ShedPolicy,
     run_serve_bench,
 )
 from repro.trace import SCHEMA_VERSION, SampleRecord, TimelineRecord, Trace
@@ -204,14 +210,34 @@ def _assert_exact_decomposition(tl, art):
     assert segs[-1].t1 - segs[0].t0 == art["latency_s"]
 
 
-@given(
+#: one small serve run per draw: chaos plan, cache/coalescing, shed
+#: policy and an optional (small, finite) tenant-0 budget
+_CHAOS_RUNS = dict(
     seed=st.integers(0, 2**16),
     plan_name=st.sampled_from([None, "serve-crash", "serve-delay"]),
     cache_on=st.booleans(),
+    shed_policy=st.sampled_from(list(ShedPolicy)),
+    tenant0_budget_s=st.one_of(
+        st.none(), st.floats(min_value=1e-6, max_value=1e-3)
+    ),
 )
+
+
+def _chaos_cfg(seed, plan_name, cache_on, shed_policy, tenant0_budget_s):
+    plan = preset_plan(plan_name, seed) if plan_name else None
+    return ServeBenchConfig(
+        scenario="tl-prop", num_graphs=2, graph_vertices=40,
+        graph_edges=120, num_jobs=12, workers=2, queue_capacity=4,
+        plan=plan, cache_enabled=cache_on, coalesce_enabled=cache_on,
+        shed_policy=shed_policy, tenant0_budget_s=tenant0_budget_s,
+        seed=seed,
+    )
+
+
+@given(**_CHAOS_RUNS)
 @settings(max_examples=12, deadline=None)
 def test_timeline_decomposition_is_exact_under_chaos(
-    seed, plan_name, cache_on
+    seed, plan_name, cache_on, shed_policy, tenant0_budget_s
 ):
     """Every job, every chaos plan: the timeline spans latency exactly.
 
@@ -220,13 +246,7 @@ def test_timeline_decomposition_is_exact_under_chaos(
     its segments are ordered, non-overlapping, contiguous, and their
     span equals ``finish_s - submit_s`` bit-for-bit.
     """
-    plan = preset_plan(plan_name, seed) if plan_name else None
-    cfg = ServeBenchConfig(
-        scenario="tl-prop", num_graphs=2, graph_vertices=40,
-        graph_edges=120, num_jobs=12, workers=2, queue_capacity=4,
-        plan=plan, cache_enabled=cache_on, coalesce_enabled=cache_on,
-        seed=seed,
-    )
+    cfg = _chaos_cfg(seed, plan_name, cache_on, shed_policy, tenant0_budget_s)
     obs = ObsRecorder()
     run_serve_bench(cfg, obs=obs)
     report = obs.report
@@ -336,6 +356,151 @@ class TestObsRecorder:
         obs, _ = self.run_observed()
         q = obs.quantiles_ms(0.5, 0.99, 0.999)
         assert set(q) == {"p50", "p99", "p999"}
+
+
+# ---------------------------------------------------------------------------
+# the log-driven recorder against a full poll of the service
+# ---------------------------------------------------------------------------
+
+class _PollingRecorder(ObsRecorder):
+    """The reference: every call rescans every pending job and polls
+    every breaker, tenant and sampled counter.  Its ``on_event`` and
+    ``_sweep_jobs`` are the recorder's bodies from before the service
+    kept a change log, verbatim; the log-driven recorder must record
+    exactly what this one does."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._pending: "dict[int, object]" = {}
+        self._jobs_cursor = 0
+
+    def on_event(self, service) -> None:
+        """Called by the service after each simulated event."""
+        self.events_observed += 1
+        now = service.now
+        reg = self.registry
+        self._gauge_changed("queue_depth", now, float(len(service.queue)))
+        self._gauge_changed("wip_in_flight", now, float(service.pool.in_flight))
+
+        counters = service.metrics.counters
+        for name in _SAMPLED_COUNTERS:
+            value = float(counters.get(name, 0))
+            last = reg.last(f"metric:{name}")
+            if last is None or last.value != value:
+                reg.counter(f"metric:{name}", now, value)
+
+        cache = service.cache
+        if cache is not None:
+            hits = cache.stats.hits
+            misses = cache.stats.misses
+            lookups = hits + misses
+            if lookups:
+                self._gauge_changed("cache_hit_rate", now, hits / lookups)
+            self._gauge_changed("cache_bytes", now, float(cache.bytes))
+
+        for workload, breaker in sorted(service._breakers.items()):
+            level = BREAKER_STATE_LEVELS[breaker.state.value]
+            self._gauge_changed(f"breaker:{workload}", now, level)
+
+        ledger = service.ledger
+        for tenant, spent in ledger.snapshot().items():
+            limit = ledger.budget_of(tenant).model_seconds
+            if math.isfinite(limit) and limit > 0:
+                self._gauge_changed(
+                    f"budget_util:{tenant}", now,
+                    spent["model_seconds"] / limit,
+                )
+
+        self._sweep_jobs(service)
+
+    def _sweep_jobs(self, service) -> None:
+        jobs = service.jobs
+        while self._jobs_cursor < len(jobs):
+            job = jobs[self._jobs_cursor]
+            self._pending[job.id] = job
+            self._jobs_cursor += 1
+        finished = [j for j in self._pending.values() if j.terminal]
+        for job in finished:
+            del self._pending[job.id]
+            self._on_terminal(job)
+
+
+class _WithReference(ObsRecorder):
+    """The log-driven recorder, with the polling reference observing
+    the same run beside it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reference = _PollingRecorder()
+
+    def on_event(self, service) -> None:
+        super().on_event(service)
+        self.reference.on_event(service)
+
+
+def _assert_same_observation(obs, ref):
+    assert obs.events_observed == ref.events_observed
+    assert list(obs.registry.samples) == list(ref.registry.samples)
+    assert [tl.as_dict() for tl in obs.timelines] == \
+        [tl.as_dict() for tl in ref.timelines]
+    assert obs.latency_hist.as_dict() == ref.latency_hist.as_dict()
+    assert [(name, h.as_dict()) for name, h in obs.phase_hists.items()] == \
+        [(name, h.as_dict()) for name, h in ref.phase_hists.items()]
+
+
+@given(**_CHAOS_RUNS)
+@settings(max_examples=12, deadline=None)
+def test_log_recorder_matches_polling_reference(
+    seed, plan_name, cache_on, shed_policy, tenant0_budget_s
+):
+    """Folding the change log records what a full poll records: the
+    same samples in the same order, the same timelines in the same
+    order, the same latency and phase histograms."""
+    cfg = _chaos_cfg(seed, plan_name, cache_on, shed_policy, tenant0_budget_s)
+    obs = _WithReference()
+    run_serve_bench(cfg, obs=obs)
+    _assert_same_observation(obs, obs.reference)
+    assert len(obs.timelines) == len(obs.report.jobs)
+
+
+class _NoScanView:
+    """A service as the recorder sees it, minus the job list and the
+    breaker table: reading either fails the test."""
+
+    def __init__(self, service) -> None:
+        self._service = service
+
+    def __getattr__(self, name):
+        if name in ("jobs", "_breakers"):
+            raise AssertionError(f"the recorder read service.{name}")
+        return getattr(self._service, name)
+
+
+def test_recorder_reads_neither_job_list_nor_breaker_table():
+    """The recorder learns of terminal jobs and breakers from the log
+    alone, and still records what a full poll does."""
+    obs = ObsRecorder()
+    ref = _PollingRecorder()
+
+    class Both:
+        def on_event(self, service):
+            obs.on_event(_NoScanView(service))
+            ref.on_event(service)
+
+    svc = SccService(workers=2, queue_capacity=3,
+                     faults=preset_plan("serve-crash", 3),
+                     shed_policy=ShedPolicy.DROP_OLDEST, observer=Both())
+    for g in ("g0", "g1"):
+        svc.register_graph(g, cycle_graph(12))
+    svc.set_budget("t0", Budget(model_seconds=2e-4))
+    for i in range(16):
+        svc.submit(JobSpec(f"t{i % 3}", JobKind.SOLVE, f"g{i % 2}"),
+                   at=0.0002 * i)
+    report = svc.run()
+    assert len(obs.timelines) == len(report.jobs)
+    assert any(n.startswith("breaker:") for n in obs.registry.names())
+    assert any(n.startswith("budget_util:") for n in obs.registry.names())
+    _assert_same_observation(obs, ref)
 
 
 # ---------------------------------------------------------------------------
