@@ -3,7 +3,8 @@
 Not a paper table — these track the implementation's own hot paths so
 regressions in the NumPy formulations (the relaxation library's push
 and compression bodies, worklist compaction, the frontier, adaptive
-and async drains, CSR construction, Tarjan) are visible in CI.
+and async drains, dynamic apply, CSR construction, Tarjan) are visible
+in CI.
 """
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.core import (
     propagate_frontier,
 )
 from repro.device import A100, VirtualDevice
+from repro.dynamic import DynamicGraph, generate_edge_log
+from repro.dynamic.replay import _net_effect
 from repro.engine import AdaptiveScheduler, get_backend
 from repro.engine.relax import push
 from repro.graph import CSRGraph, rmat_graph
@@ -150,3 +153,27 @@ def test_async_drain(benchmark, sweep_graph, opts, expected):
         return propagate_async(sigs, partition, VirtualDevice(A100), opts, n)
 
     assert benchmark(drain) == expected
+
+
+def test_dynamic_apply(benchmark, sweep_graph):
+    """One 12-event batch of inserts and deletes applied to a handle
+    restored from a checkpoint.  An earlier batch of the same log merged
+    components, so the deletions probe inside them and re-solve the ones
+    that split; the insertions run the reachability traversals over the
+    condensation, re-solve the affected cluster and merge."""
+    n = sweep_graph.num_vertices
+    log = generate_edge_log(sweep_graph, events=24, seed=3)
+    first, second = (
+        _net_effect(n, log.op[lo:hi], log.src[lo:hi], log.dst[lo:hi])
+        for lo, hi in log.batches(12)
+    )
+    dg = DynamicGraph(sweep_graph)
+    dg.apply(deletions=first[0], insertions=first[1])
+    ckpt = dg.checkpoint()
+
+    def apply():
+        dg.restore(ckpt)
+        return dg.apply(deletions=second[0], insertions=second[1])
+
+    deleted, inserted = benchmark(apply)
+    assert deleted.split_components > 0 and inserted.merged_components > 0

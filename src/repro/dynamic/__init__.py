@@ -8,7 +8,7 @@ while the graph mutates":
   :meth:`~DynamicGraph.insert_edges` / :meth:`~DynamicGraph.delete_edges`
   maintain per-vertex labels *incrementally* (deletions re-seed the
   frontier Phase-2 engine from the invalidated components, insertions
-  merge through a union-find over the cached condensation DAG), with
+  merge components of the cached condensation DAG), with
   every update kernel device-accounted and ledger-attributed.  Labels
   stay bit-identical to a cold solve of the current graph after every
   batch.
@@ -24,13 +24,11 @@ See ``docs/dynamic.md``.
 
 from .graph import DynamicCheckpoint, DynamicGraph, UpdateReport
 from .replay import BatchStats, EdgeLog, ReplayResult, generate_edge_log, replay
-from .unionfind import UnionFind
 
 __all__ = [
     "DynamicGraph",
     "UpdateReport",
     "DynamicCheckpoint",
-    "UnionFind",
     "EdgeLog",
     "generate_edge_log",
     "replay",

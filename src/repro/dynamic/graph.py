@@ -29,10 +29,10 @@ Connectivity on GPUs* — PAPERS.md):
   head and backward-reachable from an inserted tail — the backward
   pass runs restricted to the forward closure, which is exact because
   every backward path from a forward-reachable vertex stays forward-
-  reachable), so only that cluster is re-solved, and the resulting
-  groups are merged through a :class:`~repro.dynamic.unionfind.UnionFind`
-  whose roots carry the max label — merged labels stay the max vertex
-  ID of the union.
+  reachable), so only that cluster is re-solved, and each of its SCCs
+  merges its old components into the one with the max label — read off
+  the cluster's local labels, so merged labels stay the max vertex ID
+  of the union.
 
 Labels are therefore **bit-identical to a cold solve** of the current
 graph after every applied batch: the max-member labelling is canonical,
@@ -42,17 +42,19 @@ maxima of maxima.
 All internal traversals are modelled as *persistent* worklist kernels
 (one launch, in-kernel rounds) — the paper's §3.4 launch-overhead
 argument applies with extra force to updates, whose subproblems are
-tiny.  Every update kernel is device-accounted through
-:mod:`repro.engine.accounting` (``charge_update_insert`` /
-``charge_update_delete`` / ``charge_label_rewrite`` /
-``charge_condensation_build``) and lands in the PR 5 launch ledger
-under ``dynamic-*`` spans, so ``repro profile`` can attribute update
-cost and :mod:`repro.dynamic.replay` can show the
+tiny; the host runs each traversal as one SciPy breadth-first search
+and replays its rounds from the BFS levels.  Every update kernel is
+device-accounted through :mod:`repro.engine.accounting`
+(``charge_update_insert`` / ``charge_update_delete`` /
+``charge_label_rewrite`` / ``charge_condensation_build``) and lands in
+the launch ledger under ``dynamic-*`` spans, so ``repro profile`` can
+attribute update cost and :mod:`repro.dynamic.replay` can show the
 incremental-vs-recompute crossover.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,8 +82,7 @@ from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
 from ..results import AlgoResult, count_sccs
 from ..trace import Tracer, ensure_tracer
-from ..types import VERTEX_DTYPE, as_vertex_array, sorted_unique
-from .unionfind import UnionFind
+from ..types import VERTEX_DTYPE, as_vertex_array, ragged_arange
 
 __all__ = ["DynamicGraph", "UpdateReport", "DynamicCheckpoint"]
 
@@ -216,8 +217,8 @@ class _CondCache:
             self._dag = None
 
     def contract(self, roots: np.ndarray, comp_map: np.ndarray) -> "_CondCache":
-        """Cache after union-find merges (``roots`` per old component,
-        ``comp_map`` old -> new compacted component IDs)."""
+        """Cache after merges (``roots`` per old component: the merged
+        component it joins; ``comp_map`` old -> new compacted IDs)."""
         k = self.num_components
         k2 = int(comp_map.max()) + 1 if comp_map.size else 0
         comp_labels = np.zeros(k2, dtype=VERTEX_DTYPE)
@@ -531,6 +532,7 @@ class DynamicGraph:
         self._src = ckpt.src.copy()
         self._dst = ckpt.dst.copy()
         self.labels = ckpt.labels.copy()
+        self._n = self.labels.size  # undoes add_vertices too
         self.generation = ckpt.generation
         del self.history[ckpt.history_len:]
         self._cond = None
@@ -591,7 +593,7 @@ class DynamicGraph:
             self._device, probed=probed, requested=int(s.size),
         )
         # the k-th duplicate request claims the k-th resident instance
-        offsets = np.repeat(left, counts) + _ragged_arange(counts)
+        offsets = np.repeat(left, counts) + ragged_arange(counts)
         remove_idx = order[offsets]
         removed_s = self._src[remove_idx].copy()
         removed_d = self._dst[remove_idx].copy()
@@ -640,17 +642,31 @@ class DynamicGraph:
         One launch; each BFS level is an in-kernel round (the frontier
         engine's cost discipline — update subproblems are tiny, so
         per-level launches would drown them in launch overhead).  With
-        *target* set, returns True/False as soon as the target is
-        reached (early exit); otherwise returns the visited mask.
-        ``active`` restricts the traversal (expanded edges into
-        inactive vertices are still inspected, matching masked_bfs).
+        *target* set, returns True/False and the rounds stop at the one
+        that reaches the target (early exit); otherwise returns the
+        visited mask.  ``active`` restricts the traversal (expanded
+        edges into inactive vertices are still inspected, matching
+        masked_bfs).
+
+        The host runs the whole closure as one SciPy breadth-first
+        search from a virtual root whose out-edges are the sources, then
+        replays the rounds from the level structure of the BFS order.
+        SciPy's queue discovers each vertex while expanding its
+        discoverer, so discoverer positions never decrease along the
+        order, and each level ends where the discoverers in the level
+        before it run out.
         """
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import breadth_first_order
+
         n = graph.num_vertices
-        visited = np.zeros(n, dtype=bool)
-        frontier = sorted_unique(sources)
+        indptr, indices = graph.indptr, graph.indices
         if active is not None:
-            frontier = frontier[active[frontier]]
-        visited[frontier] = True
+            sources = sources[active[sources]]
+            # an edge into an inactive vertex is inspected, not followed
+            followed = active[indices]
+            indptr = np.concatenate(([0], np.cumsum(followed)))[indptr]
+            indices = indices[followed]
         # the grid never needs more blocks than the worklist can fill:
         # update subproblems are far smaller than the device's resident
         # capacity, and block dispatch is a costed resource
@@ -659,30 +675,54 @@ class DynamicGraph:
             max(1, -(-n // 512)),
         )
         charge_frontier_launch(self._device, blocks=blocks)
-        if target is not None and visited[target]:
+        # vertex n is the virtual root; its row lists the sources, and a
+        # duplicate source is discovered once
+        m = indices.size
+        root_indptr = np.empty(n + 2, dtype=np.int32)
+        root_indptr[:-1] = indptr
+        root_indptr[-1] = m + sources.size
+        root_indices = np.empty(m + sources.size, dtype=np.int32)
+        root_indices[:m] = indices
+        root_indices[m:] = sources
+        order, discoverer = breadth_first_order(
+            csr_array(
+                (np.ones(root_indices.size), root_indices, root_indptr),
+                shape=(n + 1, n + 1),
+            ),
+            n,
+            return_predecessors=True,
+        )
+        reached = order[1:]
+        # positions along the order, the root at -1
+        position = np.empty(n + 1, dtype=np.intp)
+        position[order] = np.arange(-1, reached.size)
+        disc = position[discoverer[reached]].tolist()
+        # every out-edge of the full graph, followed or not, is expanded
+        degrees = graph.indptr[reached + 1] - graph.indptr[reached]
+        expanded = np.concatenate(([0], np.cumsum(degrees))).tolist()
+        goal = None
+        if target is not None and discoverer[target] >= 0:
+            goal = int(position[target])
+        # reached[start:end] is the level being expanded; the next level
+        # is every vertex after it whose discoverer lies inside it
+        start, end = 0, bisect_left(disc, 0)
+        if goal is not None and goal < end:
             return True
-        indptr, indices = graph.indptr, graph.indices
-        while frontier.size:
-            expanded = int(
-                (indptr[frontier + 1] - indptr[frontier]).sum()
-            )
-            neighbors = _gather_neighbors(indptr, indices, frontier)
-            mask = ~visited[neighbors]
-            if active is not None:
-                mask &= active[neighbors]
-            new = sorted_unique(neighbors[mask])
-            visited[new] = True
+        while start < end:
+            nxt = bisect_left(disc, end, end)
             charge_frontier_round(
                 self._device,
-                edges=expanded,
-                frontier_size=int(frontier.size),
-                enqueues=int(new.size),
+                edges=expanded[end] - expanded[start],
+                frontier_size=end - start,
+                enqueues=nxt - end,
             )
-            self._tr.counter("dynamic:reach-round", frontier=int(frontier.size))
-            if target is not None and visited[target]:
+            self._tr.counter("dynamic:reach-round", frontier=end - start)
+            if goal is not None and goal < nxt:
                 return True
-            frontier = new
-        return False if target is not None else visited
+            start, end = end, nxt
+        if target is not None:
+            return False
+        return discoverer[:n] >= 0
 
     def _merge_inserted(
         self, s: np.ndarray, d: np.ndarray
@@ -729,20 +769,14 @@ class DynamicGraph:
             sub, options=self._opts, device=self._device,
             backend=self._backend, tracer=self._tr, faults=self._faults,
         )
-        # union-find over the condensation: comps sharing a local SCC
-        # merge, the max-label member rooting each set
-        uf = UnionFind(cache.comp_labels)
-        local = res.labels
-        order = np.argsort(local, kind="stable")
-        groups, starts = np.unique(local[order], return_index=True)
-        bounds = np.append(starts, local.size)
-        for gi in np.flatnonzero(np.diff(bounds) > 1):
-            members = cluster[order[bounds[gi]:bounds[gi + 1]]]
-            for m in members[1:]:
-                uf.union(int(members[0]), int(m))
-        if not uf.merges:
+        merges = int(cluster.size) - int(res.num_sccs)
+        if not merges:
             return 0, 0, int(cluster.size), int(sub.num_edges)
-        roots = uf.roots()
+        # comps sharing a local SCC merge into its max-label member:
+        # component ids rank the labels and cluster ascends, so the
+        # local (max-member) label names that member
+        roots = np.arange(k, dtype=VERTEX_DTYPE)
+        roots[cluster] = cluster[res.labels]
         new_comp_labels = cache.comp_labels[roots]
         changed_comps = np.flatnonzero(new_comp_labels != cache.comp_labels)
         mask = np.isin(cache.dense, changed_comps)
@@ -759,7 +793,7 @@ class DynamicGraph:
 
         comp_map = compact_labels(roots)
         self._cond = cache.contract(roots, comp_map)
-        return int(uf.merges), touched, int(cluster.size), int(sub.num_edges)
+        return merges, touched, int(cluster.size), int(sub.num_edges)
 
     def _resolve_invalidated(
         self,
@@ -847,15 +881,5 @@ def _gather_neighbors(
     total = int(degrees.sum())
     if total == 0:
         return np.empty(0, dtype=indices.dtype)
-    offsets = np.repeat(starts, degrees) + _ragged_arange(degrees)
+    offsets = np.repeat(starts, degrees) + ragged_arange(degrees)
     return indices[offsets]
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(c)`` for each c in *counts*."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ids = np.arange(total, dtype=np.int64)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return ids - resets

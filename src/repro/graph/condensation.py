@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphValidationError
-from ..types import VERTEX_DTYPE, as_vertex_array
+from ..types import VERTEX_DTYPE, as_vertex_array, ragged_arange
 from .csr import CSRGraph
 
 __all__ = ["condense", "compact_labels", "dag_depth", "topological_levels"]
 
 
 def compact_labels(labels: np.ndarray) -> np.ndarray:
-    """Renumber arbitrary SCC labels to dense ``0..k-1`` (order of first ID).
+    """Renumber arbitrary SCC labels to dense ``0..k-1``, ranked by label.
 
     SCC algorithms in this library label each component by an arbitrary
     representative vertex ID (ECL-SCC: the max ID in the component).  Dense
@@ -91,7 +91,7 @@ def topological_levels(dag: CSRGraph) -> np.ndarray:
         if total == 0:
             break
         # flat indices of the frontier's adjacency slices
-        offsets = np.repeat(starts, counts) + _ragged_arange(counts)
+        offsets = np.repeat(starts, counts) + ragged_arange(counts)
         heads = indices[offsets]
         tails_level = np.repeat(level[frontier], counts)
         # successors' level = max over incoming frontier edges of level+1
@@ -106,16 +106,6 @@ def topological_levels(dag: CSRGraph) -> np.ndarray:
             "topological_levels called on a graph containing a cycle"
         )
     return level
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(c)`` for each c in *counts*, vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=VERTEX_DTYPE)
-    ids = np.arange(total, dtype=VERTEX_DTYPE)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return ids - resets
 
 
 def dag_depth(graph: CSRGraph, labels: np.ndarray) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..types import VERTEX_DTYPE
+from ..types import VERTEX_DTYPE, ragged_arange
 from .csr import CSRGraph
 
 __all__ = [
@@ -76,7 +76,7 @@ def bfs_reach(graph: CSRGraph, sources: np.ndarray, *, mask: "np.ndarray | None"
         total = int(counts.sum())
         if total == 0:
             break
-        offsets = np.repeat(indptr[frontier], counts) + _ragged_arange(counts)
+        offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
         nxt = indices[offsets]
         if mask is not None:
             nxt = nxt[mask[nxt]]
@@ -99,7 +99,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
         counts = indptr[frontier + 1] - indptr[frontier]
         if int(counts.sum()) == 0:
             break
-        offsets = np.repeat(indptr[frontier], counts) + _ragged_arange(counts)
+        offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
         nxt = indices[offsets]
         nxt = nxt[level[nxt] < 0]
         frontier = np.unique(nxt)
@@ -150,12 +150,3 @@ def graph_diameter_estimate(graph: CSRGraph, samples: int = 4, seed: int = 0) ->
         lv = bfs_levels(graph, v)
         best = max(best, int(lv.max(initial=0)))
     return best
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=VERTEX_DTYPE)
-    ids = np.arange(total, dtype=VERTEX_DTYPE)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return ids - resets

@@ -26,6 +26,7 @@ __all__ = [
     "as_indptr_array",
     "is_sorted",
     "sorted_unique",
+    "ragged_arange",
     "check_1d",
 ]
 
@@ -109,3 +110,17 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(out[1:], out[:-1], out=keep[1:])
     return out[keep]
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(c)`` for each c in *counts*, vectorized.
+
+    With ``starts`` the first CSR offset of each row, ``np.repeat(starts,
+    counts) + ragged_arange(counts)`` enumerates the rows' edge slots.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=VERTEX_DTYPE)
+    ids = np.arange(total, dtype=VERTEX_DTYPE)
+    resets = np.repeat(np.cumsum(counts) - counts, counts)
+    return ids - resets

@@ -8,6 +8,10 @@ partition equivalence.  The hypothesis test drives that contract across
 engine x backend and under monotone fault plans.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +20,10 @@ from repro import CSRGraph, DynamicGraph
 from repro.core import ecl_scc
 from repro.core.options import EclOptions
 from repro.device import A100, VirtualDevice
+from repro.engine.accounting import charge_frontier_launch, charge_frontier_round
 from repro.dynamic import (
     DynamicCheckpoint,
     EdgeLog,
-    UnionFind,
     UpdateReport,
     generate_edge_log,
     replay,
@@ -33,6 +37,7 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.graph import cycle_graph, path_graph, random_gnm
 from repro.trace import Tracer
+from repro.types import ragged_arange, sorted_unique
 
 
 def cold_labels(src, dst, n):
@@ -58,6 +63,15 @@ class TestDynamicGraphBasics:
         assert report.op == "insert"
         assert report.merged_components >= 1
         assert np.array_equal(dg.labels, np.array([2, 2, 2]))
+
+    def test_merge_counts_and_roots(self):
+        dg = DynamicGraph(path_graph(6))
+        report = dg.insert_edges([2, 5], [0, 3])  # two 3-cycles at once
+        assert report.merged_components == 4
+        assert np.array_equal(dg.labels, [2, 2, 2, 5, 5, 5])
+        report = dg.insert_edges([5], [0])  # merged comps merge again
+        assert report.merged_components == 1
+        assert np.array_equal(dg.labels, [5] * 6)
 
     def test_intra_component_insert_is_noop(self):
         dg = DynamicGraph(cycle_graph(4))
@@ -366,6 +380,16 @@ class TestCheckpointRestore:
         dg.restore(ck)
         assert len(dg.device.ledger.records) == ck.ledger_len
 
+    def test_restore_undoes_add_vertices(self):
+        dg = DynamicGraph(random_gnm(20, 60, seed=1))
+        ck = dg.checkpoint()
+        dg.add_vertices(3)
+        dg.restore(ck)
+        assert dg.num_vertices == dg.labels.size == 20
+        assert dg.graph().num_vertices == dg.query().labels.size == 20
+        with pytest.raises(GraphFormatError, match="endpoints"):
+            dg.insert_edges([21], [0])
+
     def test_checkpoint_nbytes(self):
         dg = DynamicGraph(cycle_graph(4))
         ck = dg.checkpoint()
@@ -491,21 +515,136 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
-# union-find
+# the traversal, pinned to the level loop it replaced
 # ----------------------------------------------------------------------
-class TestUnionFind:
-    def test_roots_carry_max_label(self):
-        labels = np.array([5, 9, 2, 7])
-        uf = UnionFind(labels)
-        uf.union(0, 2)
-        uf.union(1, 3)
-        roots = uf.roots()
-        assert labels[roots[0]] == 5 and labels[roots[2]] == 5
-        assert labels[roots[1]] == 9 and labels[roots[3]] == 9
-        assert uf.merges == 2
+def _gather_neighbors(
+    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
+) -> np.ndarray:
+    """All out-neighbors of *frontier* (with multiplicity)."""
+    starts = indptr[frontier]
+    degrees = indptr[frontier + 1] - starts
+    total = int(degrees.sum())
+    if total == 0:
+        return np.empty(0, dtype=indices.dtype)
+    offsets = np.repeat(starts, degrees) + ragged_arange(degrees)
+    return indices[offsets]
 
-    def test_union_is_idempotent(self):
-        uf = UnionFind(np.array([1, 2]))
-        assert uf.union(0, 1)
-        assert not uf.union(0, 1)
-        assert uf.merges == 1
+
+def reference_reach(
+    self,
+    graph: CSRGraph,
+    sources: np.ndarray,
+    *,
+    active: "np.ndarray | None" = None,
+    target: "int | None" = None,
+) -> "np.ndarray | bool":
+    """``DynamicGraph._persistent_reach`` as one NumPy expansion per BFS
+    level: the implementation the host BFS replaced, kept verbatim as
+    the reference (*self* is the handle whose device and tracer it
+    charges)."""
+    n = graph.num_vertices
+    visited = np.zeros(n, dtype=bool)
+    frontier = sorted_unique(sources)
+    if active is not None:
+        frontier = frontier[active[frontier]]
+    visited[frontier] = True
+    # the grid never needs more blocks than the worklist can fill:
+    # update subproblems are far smaller than the device's resident
+    # capacity, and block dispatch is a costed resource
+    blocks = min(
+        self._device.grid_blocks(persistent=True),
+        max(1, -(-n // 512)),
+    )
+    charge_frontier_launch(self._device, blocks=blocks)
+    if target is not None and visited[target]:
+        return True
+    indptr, indices = graph.indptr, graph.indices
+    while frontier.size:
+        expanded = int(
+            (indptr[frontier + 1] - indptr[frontier]).sum()
+        )
+        neighbors = _gather_neighbors(indptr, indices, frontier)
+        mask = ~visited[neighbors]
+        if active is not None:
+            mask &= active[neighbors]
+        new = sorted_unique(neighbors[mask])
+        visited[new] = True
+        charge_frontier_round(
+            self._device,
+            edges=expanded,
+            frontier_size=int(frontier.size),
+            enqueues=int(new.size),
+        )
+        self._tr.counter("dynamic:reach-round", frontier=int(frontier.size))
+        if target is not None and visited[target]:
+            return True
+        frontier = new
+    return False if target is not None else visited
+
+
+@st.composite
+def reach_cases(draw):
+    """A multigraph (self-loops, parallel edges, isolated vertices) or a
+    long chain, plus the arguments of one traversal over it: sources
+    with duplicates (possibly none), an optional ``active`` mask, and a
+    target that is a source, reachable, unreachable or unset."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 20))
+        m = draw(st.integers(0, 50))
+        src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    else:
+        n = draw(st.integers(2, 120))
+        ids = draw(st.permutations(range(n)))
+        src, dst = list(ids[:-1]), list(ids[1:])
+        extra = draw(st.integers(0, 5))
+        src += draw(st.lists(st.integers(0, n - 1), min_size=extra, max_size=extra))
+        dst += draw(st.lists(st.integers(0, n - 1), min_size=extra, max_size=extra))
+    graph = CSRGraph.from_edges(src, dst, n)
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    active = None
+    if draw(st.booleans()):
+        active = np.array(
+            draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        )
+    kind = draw(st.sampled_from(["none", "source", "vertex"]))
+    if kind == "source" and sources:
+        target = draw(st.sampled_from(sources))
+    elif kind == "vertex":
+        target = draw(st.integers(0, n - 1))
+    else:
+        target = None
+    return graph, np.array(sources, dtype=np.int64), active, target
+
+
+def _reach_run(reach, graph, sources, active, target):
+    dg = DynamicGraph(graph, labels=np.arange(graph.num_vertices), tracer=Tracer())
+    with dg._tr.span("dynamic-insert"):
+        out = reach(dg, graph, sources, active=active, target=target)
+    events = [
+        (e.name, e.kind, e.value, e.span_id, e.attrs)
+        for e in dg._tr.trace.events
+    ]
+    return out, dg.device.counters, dg.device.ledger.records, events
+
+
+@given(case=reach_cases())
+@settings(max_examples=300, deadline=None)
+def test_reach_matches_level_loop_reference(case):
+    graph, sources, active, target = case
+    got = _reach_run(DynamicGraph._persistent_reach, graph, sources, active, target)
+    ref = _reach_run(reference_reach, graph, sources, active, target)
+    if target is None:
+        assert got[0].dtype == bool and np.array_equal(got[0], ref[0])
+    else:
+        assert got[0] is ref[0]
+    assert got[1] == ref[1]  # KernelCounters
+    assert got[2] == ref[2]  # launch-ledger records
+    assert got[3] == ref[3]  # dynamic:reach-round events
+
+
+def test_import_repro_loads_no_scipy():
+    """The traversal imports SciPy (~0.36 s) on first use, not ``repro``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    code = "import repro, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
