@@ -12,8 +12,8 @@ sketches, and folds each newly-terminal job's decision history into a
 Observation is data-driven: each call folds only the entries the
 service appended to its change log (``service.log``) since the last
 call, so it costs O(what changed), not O(pending jobs + breakers +
-tenants).  Queue depth, WIP and the cache gauges are O(1) reads and
-are polled every call.
+tenants).  Queue depth, WIP, the cache gauges and the 11 sampled
+counters are a fixed set of O(1) reads, polled every call.
 
 The coupling is duck-typed on purpose: ``repro.serve`` never imports
 ``repro.obs`` — any object with an ``on_event(service)`` method works
@@ -37,7 +37,8 @@ __all__ = ["ObsRecorder", "BREAKER_STATE_LEVELS"]
 BREAKER_STATE_LEVELS = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 #: cumulative service counters worth a time series (the rest stay
-#: visible as run totals in ``ServiceMetrics``).
+#: visible as run totals in ``ServiceMetrics``).  Each only ever rises
+#: by one, so polling them every event records exactly the increments.
 _SAMPLED_COUNTERS = (
     "submitted",
     "admitted",
@@ -51,6 +52,8 @@ _SAMPLED_COUNTERS = (
     "cache_hits",
     "coalesced_reads",
 )
+_SAMPLED_SERIES = tuple(f"metric:{name}" for name in _SAMPLED_COUNTERS)
+_ZEROS = (0,) * len(_SAMPLED_COUNTERS)
 
 
 class ObsRecorder:
@@ -73,6 +76,9 @@ class ObsRecorder:
         self.report: Any = None
         self._growth = growth
         self._cursor = 0                # next unread ``service.log`` entry
+        #: the sampled counters at the last event; all None before the
+        #: first, so it starts every series, zeros included
+        self._counts: tuple = (None,) * len(_SAMPLED_COUNTERS)
         self.events_observed = 0
 
     # ------------------------------------------------------------------
@@ -82,11 +88,10 @@ class ObsRecorder:
         """Called by the service after each simulated event."""
         self.events_observed += 1
         log = service.log
-        metrics: "set[str]" = set()
         breakers: "set[str]" = set()
         tenants: "set[str]" = set()
         finished: "list[Any]" = []
-        touched = {"metric": metrics, "breaker": breakers, "budget": tenants}
+        touched = {"breaker": breakers, "budget": tenants}
         for kind, key in log[self._cursor:]:
             if kind == "terminal":
                 finished.append(key)
@@ -99,15 +104,13 @@ class ObsRecorder:
         self._gauge_changed("queue_depth", now, float(len(service.queue)))
         self._gauge_changed("wip_in_flight", now, float(service.pool.in_flight))
 
-        counters = service.metrics.counters
-        for name in _SAMPLED_COUNTERS:
-            # the first event starts every series, zeros included
-            if self.events_observed > 1 and name not in metrics:
-                continue
-            value = float(counters.get(name, 0))
-            last = reg.last(f"metric:{name}")
-            if last is None or last.value != value:
-                reg.counter(f"metric:{name}", now, value)
+        # one C-level read of all 11; most events move one or two
+        counts = tuple(map(service.metrics.counters.get, _SAMPLED_COUNTERS, _ZEROS))
+        if counts != self._counts:
+            for series, value, before in zip(_SAMPLED_SERIES, counts, self._counts):
+                if value != before:
+                    reg.counter(series, now, float(value))
+            self._counts = counts
 
         cache = service.cache
         if cache is not None:

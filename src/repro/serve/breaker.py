@@ -14,10 +14,11 @@ starving healthy workloads and inflating everyone's tail latency.  The
 * **HALF_OPEN** — exactly one probe job is in flight; its success
   closes the breaker, its failure re-opens it for another cooldown.
 
-Every transition is recorded (service metrics + trace counters),
-appended to the owning service's change log as ``("breaker",
-workload)``, and listed in :meth:`CircuitBreaker.as_dict` for the
-service report.
+Every transition is appended to the owning service's change log as
+``("breaker", workload)`` and listed in :meth:`CircuitBreaker.as_dict`
+for the service report.  :meth:`~CircuitBreaker.record_failure` and
+:meth:`~CircuitBreaker.record_success` name the transition they made by
+its service counter, which the service increments.
 """
 
 from __future__ import annotations
@@ -92,23 +93,28 @@ class CircuitBreaker:
         self.probe_in_flight = True
         return True
 
-    def record_success(self, now: float) -> None:
+    def record_success(self, now: float) -> "str | None":
+        """Record one successful attempt; returns ``"breaker_closed"``
+        when this closes the breaker, else None."""
         self.consecutive_failures = 0
-        if self.state is not BreakerState.CLOSED:
-            self.probe_in_flight = False
-            self.closed_after_probe += 1
-            self._transition(now, BreakerState.CLOSED)
+        if self.state is BreakerState.CLOSED:
+            return None
+        self.probe_in_flight = False
+        self.closed_after_probe += 1
+        self._transition(now, BreakerState.CLOSED)
+        return "breaker_closed"
 
-    def record_failure(self, now: float) -> bool:
-        """Record one failed attempt; returns True when this opens (or
-        re-opens) the breaker."""
+    def record_failure(self, now: float) -> "str | None":
+        """Record one failed attempt; returns ``"breaker_opened"`` or
+        ``"breaker_reopened"`` when this opens or re-opens the breaker,
+        else None."""
         if self.state is BreakerState.HALF_OPEN:
             # the probe failed: straight back to OPEN for a new cooldown
             self.probe_in_flight = False
             self.open_until = now + self.cooldown_s
             self.reopened += 1
             self._transition(now, BreakerState.OPEN)
-            return True
+            return "breaker_reopened"
         self.consecutive_failures += 1
         if (
             self.state is BreakerState.CLOSED
@@ -117,8 +123,8 @@ class CircuitBreaker:
             self.open_until = now + self.cooldown_s
             self.opened += 1
             self._transition(now, BreakerState.OPEN)
-            return True
-        return False
+            return "breaker_opened"
+        return None
 
     # ------------------------------------------------------------------
     def as_dict(self) -> "dict[str, object]":

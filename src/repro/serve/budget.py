@@ -57,15 +57,17 @@ class BudgetExceeded:
         }
 
 
+#: the budget of a tenant nobody set one for.
+_NO_LIMIT = Budget()
+
+
 class BudgetLedger:
     """Per-tenant spend against per-tenant :class:`Budget` limits.
 
-    Tenants without an explicit budget get ``default`` (unlimited
-    unless the service says otherwise).
+    Tenants without an explicit budget are unlimited.
     """
 
-    def __init__(self, *, default: "Budget | None" = None) -> None:
-        self.default = default or Budget()
+    def __init__(self) -> None:
         self._budgets: "dict[str, Budget]" = {}
         self._spent: "dict[str, dict[str, float]]" = {}
 
@@ -73,7 +75,7 @@ class BudgetLedger:
         self._budgets[tenant] = budget
 
     def budget_of(self, tenant: str) -> Budget:
-        return self._budgets.get(tenant, self.default)
+        return self._budgets.get(tenant, _NO_LIMIT)
 
     def spent_of(self, tenant: str) -> "dict[str, float]":
         return dict(self._spent.get(tenant, {"model_seconds": 0.0, "bytes": 0.0}))

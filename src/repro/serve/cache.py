@@ -27,9 +27,10 @@ Semantics:
 * **bounded by bytes, evicted LRU.**  Each entry costs its label
   array's bytes (plus a fixed overhead per entry); inserting past
   ``max_bytes`` evicts least-recently-used entries first.  Hits,
-  misses, evictions, and invalidations are all counted in
-  :class:`~repro.serve.metrics.ServiceMetrics`; ``docs/observability.md``
-  §9 lists which also emit ``serve:cache_*`` trace counters.
+  misses, evictions and invalidations are tallied in
+  :class:`CacheStats`, so a cache works standalone; the service also
+  counts them in :class:`~repro.serve.metrics.ServiceMetrics`, and
+  the two agree (``docs/observability.md`` §9).
 """
 
 from __future__ import annotations

@@ -75,8 +75,7 @@ class JobSpec:
 
     ``insert_edges`` / ``delete_edges`` are ``(src, dst)`` sequence
     pairs for ``UPDATE`` jobs; ``deadline_s`` is relative to submit
-    time (None = the service default, which may also be None = no
-    deadline).
+    time (None = no deadline).
     """
 
     tenant: str
@@ -143,9 +142,10 @@ class Job:
             return None
         return self.finish_s - self.submit_s
 
-    def deadline_at(self, default_s: "float | None") -> "float | None":
-        """Absolute deadline, resolving the service default."""
-        rel = self.spec.deadline_s if self.spec.deadline_s is not None else default_s
+    @property
+    def deadline(self) -> "float | None":
+        """Absolute deadline in simulated seconds (None = no deadline)."""
+        rel = self.spec.deadline_s
         return None if rel is None else self.submit_s + rel
 
     # ------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Service metrics: decision counters and a Prometheus exposition.
 
-Control-plane decisions increment named counters here; most also emit
-a ``serve:*`` trace counter when the service has a tracer attached.  The
-two views are not one-to-one — ``docs/observability.md`` §9 maps every
-name.  :func:`to_prometheus` renders the aggregate view in the text
+Every job decision the service records bumps the counters
+:data:`DECISION_COUNTERS` maps it to, in the same call that appends it
+to the job's history, so the counters equal a fold of the decision
+histories.  The few counters no decision explains (injected delays,
+breaker transitions, cache misses, evictions and invalidations) each
+have one writer; ``docs/observability.md`` §9 lists them all.
+:func:`to_prometheus` renders the counters and gauges in the text
 exposition format, mirroring ``repro.profile.to_prometheus``.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-__all__ = ["ServiceMetrics", "to_prometheus", "COUNTER_HELP", "GAUGE_HELP"]
+__all__ = ["ServiceMetrics", "to_prometheus", "COUNTER_HELP", "DECISION_COUNTERS", "GAUGE_HELP"]
 
 #: every counter the service emits, with its exposition HELP text.
 COUNTER_HELP = {
@@ -39,6 +42,29 @@ COUNTER_HELP = {
     "coalesce_requeued": "coalesced followers returned to the queue by a leader crash",
 }
 
+#: the counters each job decision bumps, keyed by the decision name
+#: ``SccService._decide`` records, or by ``(decision, reason)`` for the
+#: two decisions whose counter depends on why they were made.  Indexed
+#: strictly: a decision missing here raises ``KeyError``.
+DECISION_COUNTERS = {
+    "submit": ("submitted",),
+    "reject-budget": ("rejected_budget",),
+    "admit": ("admitted",),
+    ("shed", "backpressure"): ("shed_backpressure",),
+    ("shed", "breaker-open"): ("shed_breaker",),
+    "retry": (),
+    "dispatch": ("dispatched",),
+    "crash": ("crashed",),
+    "retry-scheduled": ("retries",),
+    ("dead-letter", "retries-exhausted"): ("dead_letter",),
+    ("dead-letter", "deadline"): ("dead_letter", "deadline_expired"),
+    "complete": ("completed",),
+    "cache_hit": ("cache_hits",),
+    "coalesce_attach": ("coalesced_reads",),
+    "coalesce_merge": ("coalesced_updates",),
+    "coalesce_requeue": ("coalesce_requeued",),
+}
+
 #: every gauge the service emits, with its exposition HELP text —
 #: mirrors :data:`COUNTER_HELP`; unknown names fall back to a generic
 #: ``service gauge <name>`` line rather than being dropped.
@@ -52,22 +78,14 @@ GAUGE_HELP = {
 
 
 class ServiceMetrics:
-    """Aggregate decision counters plus a few service-level gauges.
+    """Aggregate decision counters plus a few service-level gauges."""
 
-    Each :meth:`incr` also appends ``("metric", name)`` to *log*, the
-    owning service's change log (a private list when none is given).
-    """
-
-    def __init__(self, *, log: "list | None" = None) -> None:
+    def __init__(self) -> None:
         self.counters: "Counter[str]" = Counter()
         self.gauges: "dict[str, float]" = {}
-        self.log: list = [] if log is None else log
-        self._entries: "dict[str, tuple[str, str]]" = {}
 
     def incr(self, name: str, value: int = 1) -> None:
         self.counters[name] += value
-        # one shared entry per name: an increment costs the log one slot
-        self.log.append(self._entries.setdefault(name, ("metric", name)))
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)

@@ -49,14 +49,17 @@ recomputes from exactly the pre-attempt graph, and committed
 generations advance once per *successful* attempt.  Crashed attempts
 still charge their tenant for the wasted work.
 
-Decisions land in the job's history (:meth:`~repro.serve.jobs.Job.artifact`),
-:class:`~repro.serve.metrics.ServiceMetrics` counters and, with a tracer
-attached, ``serve:*`` trace counters; ``docs/observability.md`` §9 maps
-which lands where.  See ``docs/serve.md``.
+**One write per decision.** :meth:`SccService._decide` is the only
+place a job decision is written: it appends the decision to the job's
+history (:meth:`~repro.serve.jobs.Job.artifact`) and bumps the
+:class:`~repro.serve.metrics.ServiceMetrics` counters that
+:data:`~repro.serve.metrics.DECISION_COUNTERS` maps it to, so the
+counters are a fold of the histories by construction
+(``docs/observability.md`` §9).  See ``docs/serve.md``.
 
-**Change log.** Every state change an observer samples also appends one
-``(kind, key)`` entry to the append-only :attr:`SccService.log`: a job
-reaching its terminal state, a metric counter increment, a breaker's
+**Change log.** The state changes an observer cannot poll in O(1) also
+append one ``(kind, key)`` entry to the append-only
+:attr:`SccService.log`: a job reaching its terminal state, a breaker's
 creation or transition, and a tenant's charge or budget.  An observer
 keeps its own cursor into the log and reads only what was appended
 since its last call (``docs/observability.md`` §10.1).
@@ -79,12 +82,12 @@ from ..faults.recovery import backoff_seconds
 from ..graph.csr import CSRGraph
 from ..profile.report import profile_run
 from ..results import AlgoResult
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from .breaker import CircuitBreaker
 from .budget import Budget, BudgetLedger
 from .cache import DEFAULT_CACHE_BYTES, CacheEntry, SolveCache
 from .jobs import Job, JobKind, JobSpec, JobState
-from .metrics import ServiceMetrics
+from .metrics import DECISION_COUNTERS, ServiceMetrics
 from .queues import BoundedQueue, ShedPolicy
 from .workers import WorkerPool
 
@@ -183,14 +186,10 @@ class SccService:
         faults: "FaultPlan | None" = None,
         breakers_enabled: bool = True,
         breaker_threshold: int = 3,
-        breaker_cooldown_s: "float | None" = None,
         cache_enabled: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         coalesce_enabled: bool = True,
         merge_updates: int = 4,
-        default_deadline_s: "float | None" = None,
-        default_budget: "Budget | None" = None,
-        tracer: "Tracer | None" = None,
         observer: Any = None,
         seed: int = 0,
     ) -> None:
@@ -204,35 +203,33 @@ class SccService:
         self._rng = faults.rng() if faults is not None else np.random.default_rng(seed)
         self.pool = WorkerPool(workers, spec=self.spec, wip_limit=wip_limit)
         self.queue = BoundedQueue(queue_capacity, policy=shed_policy)
-        self.ledger = BudgetLedger(default=default_budget)
+        self.ledger = BudgetLedger()
         self.breakers_enabled = bool(breakers_enabled)
+        if breaker_threshold < 1:
+            raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
         self.breaker_threshold = int(breaker_threshold)
-        if breaker_cooldown_s is None:
-            # default cooldown: the worst-case retry wait of one job, so
-            # an open breaker outlives the retries that opened it
-            if faults is not None:
-                breaker_cooldown_s = backoff_seconds(faults, faults.max_retries)
-            else:
-                breaker_cooldown_s = _DEFAULT_COOLDOWN_S
-        self.breaker_cooldown_s = float(breaker_cooldown_s)
+        # the worst-case retry wait of one job, so an open breaker
+        # outlives the retries that opened it
+        self.breaker_cooldown_s = float(
+            backoff_seconds(faults, faults.max_retries)
+            if faults is not None else _DEFAULT_COOLDOWN_S
+        )
         self.cache = SolveCache(max_bytes=cache_bytes) if cache_enabled else None
         self.coalesce_enabled = bool(coalesce_enabled)
         if merge_updates < 1:
             raise ValueError(f"merge_updates must be >= 1, got {merge_updates}")
         self.merge_updates = int(merge_updates)
-        self.default_deadline_s = default_deadline_s
         #: append-only change log, one ``(kind, key)`` entry per change:
-        #: ``("terminal", job)``, ``("metric", counter name)``,
-        #: ``("breaker", workload)`` and ``("budget", tenant)``
+        #: ``("terminal", job)``, ``("breaker", workload)`` and
+        #: ``("budget", tenant)``
         self.log: "list[tuple[str, Any]]" = []
-        self.metrics = ServiceMetrics(log=self.log)
+        self.metrics = ServiceMetrics()
         #: duck-typed observability hook (e.g. ``repro.obs.ObsRecorder``):
         #: any object with ``on_event(service)`` — called after every
         #: simulated event the run loop processes, with :attr:`log`
         #: holding what changed.  Kept duck-typed so this package never
         #: imports ``repro.obs``.
         self.observer = observer
-        self._tr = ensure_tracer(tracer)
         self._graphs: "dict[str, DynamicGraph]" = {}
         self._breakers: "dict[str, CircuitBreaker]" = {}
         self._busy_graphs: "set[str]" = set()
@@ -364,22 +361,34 @@ class SccService:
     # decision recording
     # ------------------------------------------------------------------
     def _decide(self, job: Job, decision: str, **detail: Any) -> None:
+        """The one write of a job decision: its history and its counters."""
         job.record(self.now, decision, **detail)
-        self._tr.counter(f"serve:{decision}", job=job.id, **detail)
+        reason = detail.get("reason")
+        for name in DECISION_COUNTERS[decision if reason is None else (decision, reason)]:
+            self.metrics.incr(name)
 
     def _finish(self, job: Job, state: JobState, reason: "str | None" = None) -> None:
         job.finish(self.now, state, reason)
         self.log.append(("terminal", job))
+
+    def _complete(self, job: Job, **detail: Any) -> None:
+        self._decide(job, "complete", **detail)
+        self._finish(job, JobState.DONE)
+
+    def _expired(self, job: Job, at: "float | None" = None) -> bool:
+        """Whether *job*'s deadline has passed at *at* (default: now).
+
+        ``>=``: a job exactly at its deadline is expired, the same
+        boundary on every path (dispatch, attach, merge, retry).
+        """
+        deadline = job.deadline
+        return deadline is not None and (self.now if at is None else at) >= deadline
 
     def _charge(self, tenant: str, *, model_seconds: float, bytes: float) -> None:
         self.ledger.charge(tenant, model_seconds=model_seconds, bytes=bytes)
         self.log.append(("budget", tenant))
 
     def _shed(self, job: Job, reason: str) -> None:
-        counter = (
-            "shed_breaker" if reason == "breaker-open" else "shed_backpressure"
-        )
-        self.metrics.incr(counter)
         # the victim's queue-wait rides its SHED record — shed work is
         # work the service made wait and then threw away
         waited_s = (
@@ -391,9 +400,6 @@ class SccService:
         self._finish(job, JobState.SHED, reason)
 
     def _dead_letter(self, job: Job, reason: str) -> None:
-        self.metrics.incr("dead_letter")
-        if reason == "deadline":
-            self.metrics.incr("deadline_expired")
         self._decide(job, "dead-letter", reason=reason)
         self._finish(job, JobState.DEAD_LETTER, reason)
 
@@ -401,7 +407,6 @@ class SccService:
     # event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, job: Job) -> None:
-        self.metrics.incr("submitted")
         self._decide(job, "submit", tenant=job.spec.tenant,
                      kind=str(job.spec.kind), graph=job.spec.graph)
         self._admit(job)
@@ -410,7 +415,6 @@ class SccService:
         """Budget gate, then the bounded queue (breakers gate dispatch)."""
         exceeded = self.ledger.check(job.spec.tenant)
         if exceeded is not None:
-            self.metrics.incr("rejected_budget")
             job.error = exceeded.as_dict()
             self._decide(job, "reject-budget", resource=exceeded.resource,
                          limit=exceeded.limit, spent=exceeded.spent)
@@ -424,7 +428,6 @@ class SccService:
             if victim is job:
                 return
         job.state = JobState.QUEUED
-        self.metrics.incr("admitted")
         self._decide(job, "admit", depth=len(self.queue))
         self._dispatch()
 
@@ -450,11 +453,7 @@ class SccService:
             job = self.queue.pop_eligible(self._busy_graphs)
             if job is None:
                 return
-            deadline = job.deadline_at(self.default_deadline_s)
-            if deadline is not None and self.now >= deadline:
-                # >= : a job at exactly its deadline is expired — the
-                # same boundary the retry path uses (no dispatch/retry
-                # disagreement at t == deadline)
+            if self._expired(job):
                 self._dead_letter(job, "deadline")
                 continue
             if self.breakers_enabled:
@@ -510,8 +509,7 @@ class SccService:
                 inflight = self._inflight_reads.get(graph)
                 if inflight is not None and inflight[1] == generation:
                     leader, _, leader_done_at = inflight
-                    deadline = job.deadline_at(self.default_deadline_s)
-                    if deadline is None or leader_done_at < deadline:
+                    if not self._expired(job, at=leader_done_at):
                         job._fastpath = ("attach", leader)
                         return True
                     # the leader completes at or past this job's
@@ -531,8 +529,7 @@ class SccService:
 
         served = 0
         for job in self.queue.extract(fastpath):
-            deadline = job.deadline_at(self.default_deadline_s)
-            if deadline is not None and self.now >= deadline:
+            if self._expired(job):
                 self._dead_letter(job, "deadline")
                 continue
             plan, leader_or_key = job._fastpath  # set by the predicate
@@ -547,7 +544,6 @@ class SccService:
     def _serve_cache_hit(self, job: Job, key: tuple) -> None:
         """Complete *job* from the cache: zero device cost, no worker."""
         entry = self.cache.get(key)
-        self.metrics.incr("cache_hits")
         self._decide(job, "cache_hit", graph=job.spec.graph,
                      generation=entry.generation)
         job.attempts_detail.append({
@@ -559,13 +555,10 @@ class SccService:
         job.result = AlgoResult(
             labels=entry.labels.copy(), num_sccs=entry.num_sccs
         )
-        self.metrics.incr("completed")
-        self._decide(job, "complete", attempt=job.attempts, service_s=0.0)
-        self._finish(job, JobState.DONE)
+        self._complete(job, attempt=job.attempts, service_s=0.0)
 
     def _attach_follower(self, leader: Job, job: Job) -> None:
         """Coalesce *job* onto the in-flight read *leader*."""
-        self.metrics.incr("coalesced_reads")
         self._decide(job, "coalesce_attach", leader=leader.id)
         job.state = JobState.RUNNING
         self._followers[leader.id].append(job)
@@ -594,8 +587,7 @@ class SccService:
             if job.spec.kind is not JobKind.UPDATE or len(taken) >= self.merge_updates:
                 stopped = True
                 return False
-            deadline = job.deadline_at(self.default_deadline_s)
-            if deadline is not None and self.now >= deadline:
+            if self._expired(job):
                 # already expired: never commit its batch — it stays
                 # queued and dead-letters at its own dispatch
                 return False
@@ -609,7 +601,6 @@ class SccService:
 
         followers = self.queue.extract(mergeable)
         for i, job in enumerate(followers, start=1):
-            self.metrics.incr("coalesced_updates")
             self._decide(job, "coalesce_merge", leader=leader.id,
                          merge_index=i)
             job.state = JobState.RUNNING
@@ -623,7 +614,6 @@ class SccService:
     ) -> None:
         job.state = JobState.RUNNING
         job.attempts += 1
-        self.metrics.incr("dispatched")
         self._decide(job, "dispatch", worker=worker.id, attempt=job.attempts)
         kind = job.spec.kind
         merge_followers = merge_followers or []
@@ -680,9 +670,7 @@ class SccService:
                 )
                 if dropped:
                     self.metrics.incr("cache_invalidations", dropped)
-                    self._tr.counter("serve:cache_invalidation",
-                                     graph=job.spec.graph, dropped=dropped)
-        job.attempts_detail.append({
+        detail = {
             "attempt": job.attempts,
             "t_dispatch": self.now,
             "worker": worker.id,
@@ -690,14 +678,15 @@ class SccService:
             "delay_s": delay_s,
             "crashed": crashed,
             "charges": dict(charges),
-            **({"merged": len(merge_followers)} if merge_followers else {}),
-            **({"generation": payload["generation"], "merge_index": 0}
-               if payload and kind is JobKind.UPDATE and merge_followers
-               else {}),
-            **({"generation": payload["generation"]}
-               if payload and not (kind is JobKind.UPDATE and merge_followers)
-               else {}),
-        })
+        }
+        # only updates collect merge followers
+        if merge_followers:
+            detail["merged"] = len(merge_followers)
+        if payload:
+            detail["generation"] = payload["generation"]
+            if merge_followers:
+                detail["merge_index"] = 0
+        job.attempts_detail.append(detail)
         self._schedule(
             done_at, "complete",
             (job, worker, payload, charges, crashed, self.now),
@@ -805,21 +794,16 @@ class SccService:
                 )
             worker.jobs_done += 1
             if breaker is not None:
-                was_open = breaker.state.value != "closed"
-                breaker.record_success(self.now)
-                if was_open:
-                    self.metrics.incr("breaker_closed")
-                    self._tr.counter("serve:breaker-closed",
-                                     workload=breaker.workload)
-            self.metrics.incr("completed")
+                transition = breaker.record_success(self.now)
+                if transition:
+                    self.metrics.incr(transition)
             if kind is JobKind.UPDATE:
                 job.result = payload["reports"]
             else:
                 job.result = payload["result"]
-            self._decide(job, "complete", attempt=job.attempts,
-                         service_s=charges["model_seconds"],
-                         **({"coalesced": len(followers)} if followers else {}))
-            self._finish(job, JobState.DONE)
+            self._complete(job, attempt=job.attempts,
+                           service_s=charges["model_seconds"],
+                           **({"coalesced": len(followers)} if followers else {}))
             for i, follower in enumerate(followers, start=1):
                 self._complete_follower(job, follower, payload, charges,
                                         share, i)
@@ -839,21 +823,14 @@ class SccService:
         if followers:
             for follower in followers:
                 follower.state = JobState.QUEUED
-                self.metrics.incr("coalesce_requeued")
                 self._decide(follower, "coalesce_requeue", leader=job.id)
             self.queue.requeue(followers)
         worker.crashes += 1
-        self.metrics.incr("crashed")
         self._decide(job, "crash", attempt=job.attempts, worker=worker.id)
         if breaker is not None:
-            before = breaker.state.value
-            if breaker.record_failure(self.now):
-                self.metrics.incr(
-                    "breaker_reopened" if before == "half-open"
-                    else "breaker_opened"
-                )
-                self._tr.counter("serve:breaker-opened",
-                                 workload=breaker.workload)
+            transition = breaker.record_failure(self.now)
+            if transition:
+                self.metrics.incr(transition)
         retries_so_far = job.attempts - 1
         max_retries = self.plan.max_retries if self.plan is not None else 0
         if retries_so_far >= max_retries:
@@ -862,15 +839,11 @@ class SccService:
             return
         wait_s = backoff_seconds(self.plan, retries_so_far, rng=self._rng)
         retry_at = self.now + wait_s
-        deadline = job.deadline_at(self.default_deadline_s)
-        if deadline is not None and retry_at >= deadline:
-            # >= : the same expiry boundary dispatch uses — a retry
-            # landing exactly at the deadline is already too late
+        if self._expired(job, at=retry_at):
             self._dead_letter(job, "deadline")
             self._dispatch()
             return
         job.state = JobState.RETRY_WAIT
-        self.metrics.incr("retries")
         self._decide(job, "retry-scheduled", attempt=job.attempts,
                      wait_s=wait_s)
         self._schedule(retry_at, "retry", job)
@@ -897,9 +870,7 @@ class SccService:
                 labels=result.labels.copy(), num_sccs=result.num_sccs
             )
         job.attempts_detail.append(detail)
-        self.metrics.incr("completed")
-        self._decide(job, "complete", leader=leader.id, service_s=0.0)
-        self._finish(job, JobState.DONE)
+        self._complete(job, leader=leader.id, service_s=0.0)
 
     def _cache_put(self, job: Job, payload) -> None:
         """Memoize a completed read (skipped if the generation moved on)."""
@@ -923,13 +894,3 @@ class SccService:
         )
         if evicted:
             self.metrics.incr("cache_evictions", len(evicted))
-            self._tr.counter("serve:cache_eviction", count=len(evicted))
-        self._tr.counter("serve:cache_put", graph=graph,
-                         generation=generation)
-
-    # ------------------------------------------------------------------
-    def to_prometheus(self, *, prefix: str = "repro_serve") -> str:
-        """Text exposition of the service metrics (observability.md §9)."""
-        from .metrics import to_prometheus
-
-        return to_prometheus(self.metrics, prefix=prefix)

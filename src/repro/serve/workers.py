@@ -1,7 +1,7 @@
-"""The worker pool: WIP-limited execution slots over virtual devices.
+"""The worker pool: WIP-limited execution slots.
 
-A :class:`Worker` is one execution slot backed by its own
-:class:`~repro.device.VirtualDevice` model; the :class:`WorkerPool`
+A :class:`Worker` is one execution slot of a
+:class:`~repro.device.spec.DeviceSpec`; the :class:`WorkerPool`
 bounds work-in-progress to ``min(len(workers), wip_limit)`` occupied
 slots — the WIP limit is the knob that turns overload into queueing
 (and then, past the bounded queue, into explicit shedding) instead of
@@ -15,19 +15,17 @@ concurrent service intervals on the simulated clock.
 
 from __future__ import annotations
 
-from ..device.executor import VirtualDevice
 from ..device.spec import A100, DeviceSpec
 
 __all__ = ["Worker", "WorkerPool"]
 
 
 class Worker:
-    """One execution slot (its device accumulates lifetime charges)."""
+    """One execution slot (attempts charge the graph's or the solve's device)."""
 
     def __init__(self, worker_id: int, spec: DeviceSpec) -> None:
         self.id = worker_id
         self.spec = spec
-        self.device = VirtualDevice(spec)
         self.busy = False
         self.jobs_done = 0
         self.crashes = 0

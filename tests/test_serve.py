@@ -15,18 +15,21 @@ The contract (docs/serve.md):
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import solve
 from repro.errors import FaultPlanError, GraphFormatError
 from repro.faults import preset_plan
 from repro.graph import cycle_graph, scc_ladder
 from repro.graph.generators import random_gnm
+from repro.obs import PHASE_OF_DECISION, ObsRecorder
 from repro.serve import (
+    DEFAULT_CACHE_BYTES,
     TERMINAL_STATES,
     BoundedQueue,
     BreakerState,
@@ -53,7 +56,7 @@ from repro.serve.bench import (
     build_workload,
     verify_report,
 )
-from repro.trace import Tracer
+from repro.serve.metrics import DECISION_COUNTERS
 
 
 def _job(jid=0, kind=JobKind.SOLVE, graph="g0", tenant="t0"):
@@ -256,12 +259,12 @@ def test_prometheus_exposition_format():
     svc.register_graph("g0", cycle_graph(8))
     svc.submit(JobSpec("t0", JobKind.SOLVE, "g0"))
     svc.run()
-    text = svc.to_prometheus()
+    text = to_prometheus(svc.metrics)
     assert "# HELP repro_serve_submitted_total" in text
     assert "# TYPE repro_serve_submitted_total counter" in text
     assert "repro_serve_submitted_total 1" in text
     assert "repro_serve_completed_total 1" in text
-    assert to_prometheus(svc.metrics) == text
+    assert "custom_completed_total 1" in to_prometheus(svc.metrics, prefix="custom")
 
 
 def test_gauge_help_mirrors_counter_help():
@@ -275,7 +278,7 @@ def test_gauge_help_mirrors_counter_help():
     svc.register_graph("g0", cycle_graph(8))
     svc.submit(JobSpec("t0", JobKind.SOLVE, "g0"))
     svc.run()
-    text = svc.to_prometheus()
+    text = to_prometheus(svc.metrics)
     # every emitted gauge has a curated HELP line, same contract as
     # counters — nothing falls through to the generic text
     for name, help_text in GAUGE_HELP.items():
@@ -395,6 +398,12 @@ class TestServiceEndToEnd:
         # crashed attempts are still charged
         assert svc.ledger.spent_of("t")["model_seconds"] > 0
 
+    def test_breaker_threshold_validated_at_construction(self):
+        # a zero threshold used to construct fine and raise at the first
+        # dispatch, leaving that job QUEUED (not terminal) mid-run
+        with pytest.raises(ValueError, match="breaker_threshold"):
+            SccService(breaker_threshold=0)
+
     def test_unknown_graph_rejected_at_submit(self):
         svc = SccService()
         with pytest.raises(GraphFormatError):
@@ -477,35 +486,103 @@ class TestBench:
             preset_plan("definitely-not-a-preset", 0)
 
 
-def _documented_trace_counters() -> "set[str]":
-    """The ``serve:*`` names listed in docs/observability.md §9."""
+def _documented_decision_counters() -> dict:
+    """The decision table of docs/observability.md §9, parsed."""
     doc = (Path(__file__).resolve().parents[1] / "docs"
            / "observability.md").read_text()
     section = doc[doc.index("## 9. "):doc.index("## 10. ")]
-    return set(re.findall(r"`(serve:[\w-]+)`", section))
+    lines = [line.strip() for line in section.splitlines()]
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("| decision |"))
+    table: dict = {}
+    for line in lines[start + 2:]:          # past the header and |---|
+        if not line.startswith("|"):
+            break
+        decision, reason, counters = (
+            cell.strip() for cell in line.strip("|").split("|")[:3]
+        )
+        key = decision.strip("`")
+        if reason:
+            key = (key, reason.strip("`"))
+        table[key] = tuple(re.findall(r"`(\w+)`", counters))
+    return table
 
 
-def test_tracer_emits_only_documented_serve_counters():
-    # a crash storm with cache and coalescing on reaches the retry,
-    # breaker and every short-circuit decision in one small run
-    cfg = ServeBenchConfig(**{**SMALL.__dict__, "num_jobs": 30,
-                              "plan": preset_plan("serve-crash", 0)})
-    graphs = _build_graphs(cfg)
-    initial = {name: g.edges() for name, g in graphs.items()}
-    tracer = Tracer()
-    svc = SccService(workers=cfg.workers, queue_capacity=cfg.queue_capacity,
-                     faults=cfg.plan, tracer=tracer, seed=cfg.seed)
-    for name, g in graphs.items():
-        svc.register_graph(name, g)
-    mean_service_s = float(solve(graphs["g0"]).model_seconds)
-    for at, spec in build_workload(cfg, mean_service_s=mean_service_s):
-        svc.submit(_resolve_deletions(spec, initial), at=at)
-    svc.run()
-    emitted = {e.name for e in tracer.finish().events
-               if e.name.startswith("serve:")}
-    assert emitted <= _documented_trace_counters()
-    assert {"serve:crash", "serve:retry", "serve:cache_hit", "serve:cache_put",
-            "serve:coalesce_attach", "serve:coalesce_merge"} <= emitted
+def test_docs_decision_table_matches_decision_counters():
+    assert _documented_decision_counters() == DECISION_COUNTERS
+
+
+def test_decision_names_match_timeline_phases():
+    # every decision the service records, plus the four terminal records
+    # Job.finish writes, is one the obs timeline fold knows
+    names = {key if isinstance(key, str) else key[0] for key in DECISION_COUNTERS}
+    assert names | {str(state) for state in TERMINAL_STATES} == set(PHASE_OF_DECISION)
+
+
+def _fold_decisions(jobs) -> Counter:
+    """The decision counters, recomputed from the job histories."""
+    fold: Counter = Counter()
+    for job in jobs:
+        assert job.decisions[-1]["decision"] == str(job.state)
+        # the last entry is the terminal record Job.finish writes
+        for d in job.decisions[:-1]:
+            key = (d["decision"], d["reason"]) if "reason" in d else d["decision"]
+            fold.update(DECISION_COUNTERS[key])
+    return fold
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    plan_name=st.sampled_from([None, "serve-crash", "serve-delay"]),
+    short_circuit=st.booleans(),
+    merge=st.integers(1, 4),
+    policy=st.sampled_from(list(ShedPolicy)),
+    budget=st.sampled_from([None, 5e-5]),
+    cache_bytes=st.sampled_from([DEFAULT_CACHE_BYTES, 1000]),
+    deadline_factor=st.sampled_from([None, 4.0]),
+)
+# a failed half-open probe (breaker_reopened), a closing probe and LRU
+# evictions in one run: random draws rarely reach the first
+@example(seed=99, plan_name="serve-crash", short_circuit=True, merge=1,
+         policy=ShedPolicy.REJECT_NEW, budget=None, cache_bytes=1000,
+         deadline_factor=None)
+@settings(max_examples=40, deadline=None)
+def test_counters_equal_folds_of_the_histories(
+    seed, plan_name, short_circuit, merge, policy, budget, cache_bytes,
+    deadline_factor,
+):
+    """Every service counter equals the same count recomputed after the
+    run from the record that owns it: the job histories, the breakers'
+    transition tallies, or the cache's own stats."""
+    cfg = ServeBenchConfig(
+        scenario="fold", num_graphs=3, graph_vertices=40, graph_edges=120,
+        num_jobs=30, workers=2, queue_capacity=4, seed=seed,
+        plan=preset_plan(plan_name, seed) if plan_name else None,
+        cache_enabled=short_circuit, coalesce_enabled=short_circuit,
+        merge_updates=merge, shed_policy=policy, tenant0_budget_s=budget,
+        cache_bytes=cache_bytes, deadline_factor=deadline_factor,
+    )
+    obs = ObsRecorder()
+    run_serve_bench(cfg, obs=obs)
+    report = obs.report
+    m = report.metrics
+
+    fold = _fold_decisions(report.jobs)
+    for name in {name for names in DECISION_COUNTERS.values() for name in names}:
+        assert m[name] == fold[name], name
+
+    for counter, tally in (("breaker_opened", "opened"),
+                           ("breaker_reopened", "reopened"),
+                           ("breaker_closed", "closed_after_probe")):
+        assert m[counter] == sum(b[tally] for b in report.breakers), counter
+
+    cache = report.cache or dict.fromkeys(
+        ("hits", "misses", "evictions", "invalidations"), 0
+    )
+    for counter, stat in (("cache_hits", "hits"), ("cache_misses", "misses"),
+                          ("cache_evictions", "evictions"),
+                          ("cache_invalidations", "invalidations")):
+        assert m[counter] == cache[stat], counter
 
 
 # ---------------------------------------------------------------------------
