@@ -19,19 +19,23 @@ from repro.analysis.profiles import bfs_frontier_profile, peel_profile
 from repro.baselines import tarjan_scc
 from repro.bench import render_table
 from repro.core import EclOptions, ecl_scc
-from repro.device import A100, VirtualDevice
+from repro.device import A100
 from repro.graph.suite import powerlaw_suite
 from repro.mesh.suite import small_mesh_suite
+from repro.trace import Tracer
 
 from conftest import save_and_print
 
 
 def measured_ecl_profile(g) -> np.ndarray:
-    """Per-round active-edge widths from an instrumented sync-engine run."""
-    dev = VirtualDevice(A100, profile=True)
-    ecl_scc(g, options=EclOptions(async_phase2=False), device=dev)
-    widths = np.asarray([e for e, _ in dev.launch_history if e > 0])
-    return widths
+    """Per-round active-edge widths from a traced sync-engine run: the
+    ``edge_work`` of every kernel launch in the run's launch ledger."""
+    tracer = Tracer()
+    ecl_scc(g, options=EclOptions(async_phase2=False), device=A100, tracer=tracer)
+    return np.asarray(
+        [r.edge_work for r in tracer.trace.launches
+         if r.kind == "launch" and r.edge_work > 0]
+    )
 
 
 def _inputs():

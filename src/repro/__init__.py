@@ -27,32 +27,30 @@ Every ``*_scc`` entry point returns an :class:`~repro.results.AlgoResult`
 (or a subclass) and accepts an optional ``tracer=`` keyword; see
 ``docs/observability.md``.
 
-The unified front door is :func:`repro.solve` (one call, every pipeline
-axis as a keyword) / :class:`repro.Solver` (the axes frozen into a
-reusable configuration); mutable graphs are served by
-:class:`repro.DynamicGraph` (:mod:`repro.dynamic`), whose
-:meth:`~repro.dynamic.DynamicGraph.query` is the dynamic
-generalization of a static solve.  See ``docs/dynamic.md``.
+The one front door is :func:`repro.solve` (one call, every pipeline axis
+as a keyword); it is :func:`repro.bench.runners.run_algorithm` under its
+public name.  Mutable graphs are served by :class:`repro.DynamicGraph`
+(:mod:`repro.dynamic`), whose :meth:`~repro.dynamic.DynamicGraph.query`
+is the dynamic generalization of a static solve.  See
+``docs/dynamic.md``.
 """
 
 from .core.eclscc import EclResult, ecl_scc
 from .core.options import EclOptions
 from .faults.plan import FaultPlan
 from .graph.csr import CSRGraph
-from .graph.edgelist import EdgeList
 from .baselines.tarjan import tarjan_scc
+from .bench.runners import run_algorithm as solve
 from .mesh.sweepgraph import build_sweep_graph
 from .analysis.verify import verify_labels
 from .dynamic.graph import DynamicGraph
 from .results import AlgoResult, Status, count_sccs
-from .solver import Solver, solve
 from .trace import NULL_TRACER, NullTracer, Trace, Tracer
 
 __version__ = "1.0.0"
 
 __all__ = [
     "solve",
-    "Solver",
     "DynamicGraph",
     "AlgoResult",
     "Status",
@@ -66,7 +64,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "CSRGraph",
-    "EdgeList",
     "tarjan_scc",
     "build_sweep_graph",
     "verify_labels",

@@ -35,9 +35,9 @@ from ..engine import (
 )
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 
 __all__ = ["coloring_scc"]
@@ -53,13 +53,8 @@ def coloring_scc(
     """Orzan-style coloring SCC.  Labels use the max-member-ID convention
     like every other code in this library.  Returns an
     :class:`~repro.results.AlgoResult`."""
-    if device is None:
-        device = VirtualDevice(TITAN_V)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, TITAN_V, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     if n == 0:

@@ -24,9 +24,9 @@ from ..engine import (
 )
 from ..engine.accounting import PAIR_FLAG_BYTES
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 
 __all__ = ["fb_scc"]
@@ -51,13 +51,8 @@ def fb_scc(
     Returns an :class:`~repro.results.AlgoResult` with max-member-ID
     labels.
     """
-    if device is None:
-        device = VirtualDevice(RYZEN_2950X)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, RYZEN_2950X, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     if n == 0:

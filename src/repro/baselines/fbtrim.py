@@ -13,9 +13,9 @@ from ..device.executor import VirtualDevice
 from ..device.spec import RYZEN_2950X, DeviceSpec
 from ..engine import ArrayBackend, colored_fb_rounds, get_backend, trim1, trim2
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 
 __all__ = ["fbtrim_scc"]
@@ -32,13 +32,8 @@ def fbtrim_scc(
     """Trim-1 (+ optional Trim-2), then coloring-FB on the remainder.
 
     Returns an :class:`~repro.results.AlgoResult`."""
-    if device is None:
-        device = VirtualDevice(RYZEN_2950X)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, RYZEN_2950X, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     active = np.ones(n, dtype=bool)

@@ -35,9 +35,9 @@ from ..engine import (
     trim2,
 )
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 
 __all__ = ["gpu_scc"]
@@ -55,13 +55,8 @@ def gpu_scc(
     Returns an :class:`~repro.results.AlgoResult` with max-member-ID
     labels.
     """
-    if device is None:
-        device = VirtualDevice(TITAN_V)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, TITAN_V, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     active = np.ones(n, dtype=bool)

@@ -30,10 +30,10 @@ from ..engine import (
     trim2,
 )
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..graph.properties import weakly_connected_components
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 
 __all__ = ["hong_scc"]
@@ -48,13 +48,8 @@ def hong_scc(
 ) -> AlgoResult:
     """Hong et al.'s method on the virtual CPU.  Returns an
     :class:`~repro.results.AlgoResult`."""
-    if device is None:
-        device = VirtualDevice(XEON_6226R)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, XEON_6226R, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     active = np.ones(n, dtype=bool)

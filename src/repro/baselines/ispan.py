@@ -39,9 +39,9 @@ from ..engine import (
     trim3,
 )
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 
 __all__ = ["ispan_scc"]
@@ -60,13 +60,8 @@ def ispan_scc(
 ) -> AlgoResult:
     """iSpan on the virtual CPU.  Returns an
     :class:`~repro.results.AlgoResult`."""
-    if device is None:
-        device = VirtualDevice(XEON_6226R)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, XEON_6226R, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     active = np.ones(n, dtype=bool)

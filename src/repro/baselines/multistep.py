@@ -29,10 +29,10 @@ from ..engine import (
     trim2,
 )
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..graph.ops import induced_subgraph
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .coloring import coloring_scc
 
@@ -49,13 +49,8 @@ def multistep_scc(
 ) -> AlgoResult:
     """Slota et al.'s Multistep method.  Returns an
     :class:`~repro.results.AlgoResult`."""
-    if device is None:
-        device = VirtualDevice(XEON_6226R)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, XEON_6226R, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     if n == 0:

@@ -27,7 +27,7 @@ from ..graph.ops import replicate
 from ..graph.suite import powerlaw_suite
 from ..mesh.suite import large_mesh_suite, small_mesh_suite
 from .formatting import format_seconds, render_series, render_table
-from .runners import RunResult
+from .runners import RunResult, run_algorithm
 from .throughput import geometric_mean
 
 __all__ = [
@@ -160,8 +160,6 @@ def runtime_table(
     runtime across ordinates before computing throughput, exactly like
     the paper (§4); power-law "groups" hold a single graph.
     """
-    from ..solver import solve  # repro.solver imports this package
-
     t0 = time.perf_counter()
     rows = []
     raw_runs: "dict[tuple[str, str], list[RunResult]]" = {}
@@ -169,7 +167,7 @@ def runtime_table(
         row: "dict[str, object]" = {"graph": gname, "vertices": graphs[0].num_vertices}
         for label, algo, spec in columns:
             runs = [
-                solve(g, algo, device=spec, verify=verify and algo == "ecl-scc")
+                run_algorithm(g, algo, device=spec, verify=verify and algo == "ecl-scc")
                 for g in graphs
             ]
             raw_runs[(gname, label)] = runs
@@ -228,8 +226,6 @@ def ablation_figure(
     device=A100,
 ) -> ExperimentResult:
     """Figure 14: geomean throughput per input class per ECL-SCC variant."""
-    from ..solver import solve  # repro.solver imports this package
-
     t0 = time.perf_counter()
     variants = ablation_variants()
     series: "dict[str, dict[str, float]]" = {v: {} for v in variants}
@@ -237,7 +233,7 @@ def ablation_figure(
     for cname, graphs in classes:
         for vname, opts in variants.items():
             runs = [
-                solve(g, device=device, options=opts) for g in graphs
+                run_algorithm(g, device=device, options=opts) for g in graphs
             ]
             raw[(cname, vname)] = runs
             series[vname][cname] = geometric_mean(

@@ -1,18 +1,17 @@
-"""The algorithm runner behind :func:`repro.solve`.
+"""The algorithm runner: :func:`run_algorithm` is :func:`repro.solve`.
 
-:func:`run_algorithm` is the implementation of
-:meth:`repro.Solver.solve`; callers use :func:`repro.solve`.  It runs
-any of the SCC codes on any virtual device, optionally wall-clock
-timing it with the paper's median-of-9 protocol and verifying the
-labels against Tarjan.  The returned :class:`RunResult` carries both
-the *model* runtime (virtual device cost estimate — the number the
-paper-style tables use) and the Python wall time (reported alongside
-for transparency).
+One call runs any of the SCC codes on any virtual device, optionally
+wall-clock timing it with the paper's median-of-9 protocol and
+verifying the labels against Tarjan.  The returned :class:`RunResult`
+carries both the *model* runtime (virtual device cost estimate — the
+number the paper-style tables use) and the Python wall time (reported
+alongside for transparency).
 
 Every algorithm returns an :class:`~repro.results.AlgoResult`, so the
-dispatch here is a flat registry instead of the old per-algorithm
-unpacking if-chain; pass ``tracer=`` to record the run's phase spans
-(attached to the result as ``RunResult.trace``).
+dispatch is a flat name -> entry-point table; pass ``tracer=`` to
+record the run's phase spans (attached to the result as
+``RunResult.trace``).  Serve's SOLVE jobs look :func:`run_algorithm` up
+on this module at call time, so a wrapper installed here sees them all.
 """
 
 from __future__ import annotations
@@ -37,15 +36,14 @@ from ..baselines import (
     multistep_scc,
     tarjan_scc,
 )
-from ..device.executor import VirtualDevice
-from ..device.spec import DeviceSpec
+from ..device.spec import A100, DeviceSpec
 from ..engine import ArrayBackend
 from ..errors import AlgorithmError
 from ..faults.plan import FaultPlan
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, Status
-from ..trace import NULL_TRACER, Trace, Tracer, ensure_tracer
+from ..trace import NULL_TRACER, Trace, Tracer
 from .timing import TimedRun, median_time
 
 __all__ = ["RunResult", "run_algorithm", "ALGORITHM_NAMES"]
@@ -53,10 +51,8 @@ __all__ = ["RunResult", "run_algorithm", "ALGORITHM_NAMES"]
 
 def _run_oracle(fn: Callable, graph: CSRGraph, spec: DeviceSpec, tracer) -> AlgoResult:
     """Serial oracle run: attach a device charged with all-serial work."""
-    dev = VirtualDevice(spec)
+    dev, tr = instrument(None, spec, tracer)
     res = fn(graph, tracer=tracer)
-    tr = ensure_tracer(tracer)
-    attach_ledger(dev, tr)
     # serial oracle: all work on the critical path
     with tr.span("serial-oracle"):
         dev.serial(4 * (graph.num_vertices + graph.num_edges))
@@ -64,54 +60,26 @@ def _run_oracle(fn: Callable, graph: CSRGraph, spec: DeviceSpec, tracer) -> Algo
     return res
 
 
-#: name -> callable(graph, spec, options, tracer, backend) -> AlgoResult
-_DISPATCH: "dict[str, Callable[..., AlgoResult]]" = {
-    "ecl-scc": lambda g, spec, opts, tr, be=None: ecl_scc(
-        g, options=opts, device=spec, backend=be, tracer=tr
-    ),
-    "ecl-scc-minmax": lambda g, spec, opts, tr, be=None: minmax_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "gpu-scc": lambda g, spec, opts, tr, be=None: gpu_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "ispan": lambda g, spec, opts, tr, be=None: ispan_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "hong": lambda g, spec, opts, tr, be=None: hong_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "multistep": lambda g, spec, opts, tr, be=None: multistep_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "coloring": lambda g, spec, opts, tr, be=None: coloring_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "fb": lambda g, spec, opts, tr, be=None: fb_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "fb-trim": lambda g, spec, opts, tr, be=None: fbtrim_scc(
-        g, device=spec, backend=be, tracer=tr
-    ),
-    "tarjan": lambda g, spec, opts, tr, be=None: _run_oracle(tarjan_scc, g, spec, tr),
-    "kosaraju": lambda g, spec, opts, tr, be=None: _run_oracle(
-        kosaraju_scc, g, spec, tr
-    ),
+#: name -> entry point.  The device-backed codes take ``(graph, *,
+#: device, backend, tracer)``; the serial oracles take ``(graph, *,
+#: tracer)`` and run through :func:`_run_oracle`.
+_ENTRY_POINTS: "dict[str, Callable[..., AlgoResult]]" = {
+    "ecl-scc": ecl_scc,
+    "ecl-scc-minmax": minmax_scc,
+    "gpu-scc": gpu_scc,
+    "ispan": ispan_scc,
+    "hong": hong_scc,
+    "multistep": multistep_scc,
+    "coloring": coloring_scc,
+    "fb": fb_scc,
+    "fb-trim": fbtrim_scc,
+    "tarjan": tarjan_scc,
+    "kosaraju": kosaraju_scc,
 }
 
-ALGORITHM_NAMES = (
-    "ecl-scc",
-    "ecl-scc-minmax",
-    "gpu-scc",
-    "ispan",
-    "hong",
-    "multistep",
-    "coloring",
-    "fb",
-    "fb-trim",
-    "tarjan",
-    "kosaraju",
-)
+ALGORITHM_NAMES = tuple(_ENTRY_POINTS)
+
+_ORACLES = ("tarjan", "kosaraju")
 
 #: signature arrays resident per vertex (memory term of the cost model)
 _SIGNATURE_ARRAYS = {"ecl-scc": 2, "ecl-scc-minmax": 4}
@@ -158,74 +126,81 @@ def _execute(
     backend: "ArrayBackend | str | None" = None,
     faults: "FaultPlan | None" = None,
 ) -> AlgoResult:
-    """One run of *name* on *graph*; returns the algorithm's AlgoResult."""
-    try:
-        fn = _DISPATCH[name]
-    except KeyError:
-        raise AlgorithmError(
-            f"unknown algorithm {name!r}; known: {ALGORITHM_NAMES}"
-        ) from None
-    if faults is not None:
-        # only ECL-SCC's monotone re-sweeping loops give injected faults
-        # sound recovery semantics; the one-shot BFS baselines would
-        # silently return wrong labels under the same perturbations
-        if name != "ecl-scc":
-            raise AlgorithmError(
-                f"fault injection is only supported for 'ecl-scc', not"
-                f" {name!r}"
-            )
+    """One run of the (validated) algorithm *name*; returns its AlgoResult."""
+    fn = _ENTRY_POINTS[name]
+    if name in _ORACLES:
+        return _run_oracle(fn, graph, spec, tracer)
+    if name == "ecl-scc":
         return ecl_scc(
             graph, options=options, device=spec, backend=backend,
             tracer=tracer, faults=faults,
         )
-    return fn(graph, spec, options, tracer, backend)
+    return fn(graph, device=spec, backend=backend, tracer=tracer)
 
 
 def run_algorithm(
     graph: CSRGraph,
-    algorithm: str,
-    device: DeviceSpec,
+    algorithm: str = "ecl-scc",
     *,
-    options: "EclOptions | None" = None,
-    backend: "ArrayBackend | str | None" = None,
+    device: "DeviceSpec | None" = None,
     engine: "str | None" = None,
+    backend: "ArrayBackend | str | None" = None,
+    options: "EclOptions | None" = None,
+    faults: "FaultPlan | None" = None,
+    tracer: "Tracer | None" = None,
+    verify: bool = False,
     time_wall: bool = False,
     repeats: int = 9,
-    verify: bool = False,
-    tracer: "Tracer | None" = None,
-    faults: "FaultPlan | None" = None,
 ) -> RunResult:
-    """Run *algorithm* on *graph* against the *device* model.
+    """Solve *graph* for SCCs with *algorithm* — the one front door.
 
-    ``backend`` selects the registered :class:`~repro.engine.ArrayBackend`
-    the run's engine primitives account against (default: the dense
+    ``solve(g)`` runs ECL-SCC on the default device (an A100 model);
+    ``solve(g, "ispan")`` runs a baseline (any of
+    :data:`ALGORITHM_NAMES`).  ``device`` is the
+    :class:`~repro.device.DeviceSpec` the run is modelled on.
+    ``backend`` selects the :class:`~repro.engine.ArrayBackend` the
+    run's engine primitives account against (default: the dense
     backend, which reproduces the historical launch costs; the oracles
     ignore it).  ``engine`` selects ECL-SCC's Phase-2 engine by name —
     any entry of :data:`~repro.core.options.ENGINE_NAMES`, set on a copy
-    of ``options`` (default all optimizations on); only ``ecl-scc``
-    has multiple Phase-2 engines, so passing it for any other algorithm
-    raises :class:`~repro.errors.AlgorithmError`.  The ``adaptive``
+    of ``options`` (default all optimizations on).  The ``adaptive``
     engine's per-round policy decisions are carried on the result as
-    ``RunResult.decision_log``.
-    ``time_wall`` additionally measures Python wall time
-    with the median-of-N protocol (each repeat uses a fresh device so
-    counters stay single-run; repeats run untraced so the caller's
-    tracer sees exactly one run).  ``verify`` checks labels against
-    Tarjan (paper §4 methodology) — skipped for the oracles themselves.
+    ``RunResult.decision_log``.  ``faults`` injects a
+    :class:`~repro.faults.FaultPlan`; the outcome lands in
+    ``RunResult.status`` / ``RunResult.fault_report``.  Only ``ecl-scc``
+    has Phase-2 engines, options and sound fault recovery, so passing
+    ``engine``, ``options`` or ``faults`` for any other algorithm raises
+    :class:`~repro.errors.AlgorithmError`.
     ``tracer`` records the run's phase spans; the trace is carried on
-    the result.  ``faults`` injects a :class:`~repro.faults.FaultPlan`
-    (``ecl-scc`` only — the baselines have no sound recovery
-    semantics); the outcome lands in ``RunResult.status`` /
-    ``RunResult.fault_report``.
+    the result.  ``verify`` checks labels against Tarjan (paper §4
+    methodology) — skipped for the oracles themselves.  ``time_wall``
+    additionally measures Python wall time with the median-of-``repeats``
+    protocol (each repeat uses a fresh device so counters stay
+    single-run; repeats run untraced so the caller's tracer sees exactly
+    one run).
     """
-    if engine is not None:
-        if algorithm != "ecl-scc":
-            raise AlgorithmError(
-                f"engine selection is only supported for 'ecl-scc', not"
-                f" {algorithm!r}"
-            )
+    if algorithm not in _ENTRY_POINTS:
+        raise AlgorithmError(
+            f"unknown algorithm {algorithm!r}; known: {ALGORITHM_NAMES}"
+        )
+    if algorithm != "ecl-scc":
+        # the one-shot BFS baselines would silently return wrong labels
+        # under injected faults: only ECL-SCC's monotone re-sweeping
+        # loops give them sound recovery semantics
+        for what, value in (
+            ("engine selection", engine),
+            ("EclOptions", options),
+            ("fault injection", faults),
+        ):
+            if value is not None:
+                raise AlgorithmError(
+                    f"{what} is only supported for 'ecl-scc', not"
+                    f" {algorithm!r}"
+                )
+    elif engine is not None:
         options = replace(options or ALL_ON, engine=engine)
-    res = _execute(algorithm, graph, device, options, tracer, backend, faults)
+    spec = device if device is not None else A100
+    res = _execute(algorithm, graph, spec, options, tracer, backend, faults)
     sigs = _SIGNATURE_ARRAYS.get(algorithm, 1)
     estimate = res.device.estimate(
         graph.num_vertices, graph.num_edges, signatures=sigs
@@ -234,15 +209,15 @@ def run_algorithm(
     if time_wall:
         wall = median_time(
             lambda: _execute(
-                algorithm, graph, device, options, NULL_TRACER, backend, faults
+                algorithm, graph, spec, options, NULL_TRACER, backend, faults
             ),
             repeats=repeats,
         )
-    if verify and algorithm not in ("tarjan", "kosaraju"):
+    if verify and algorithm not in _ORACLES:
         verify_labels(graph, res.labels)
     return RunResult(
         algorithm=algorithm,
-        device=device.name,
+        device=spec.name,
         graph_name=graph.name or "graph",
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,

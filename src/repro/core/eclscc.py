@@ -16,7 +16,7 @@ other hardware; there is no un-instrumented mode.  Pass a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from ..faults.inject import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.recovery import CheckpointStore, heal_labels
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, Status, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .options import ALL_ON, EclOptions
 from .propagation import (
@@ -133,10 +133,10 @@ def ecl_scc(
         :class:`~repro.device.DeviceSpec` is wrapped automatically.
         Defaults to an A100 model.
     backend:
-        :class:`~repro.engine.ArrayBackend` (or registered name) the
-        vertex-scan accounting sweeps against; overrides
-        ``options.backend``.  The default dense backend reproduces the
-        historical full-array launch costs bit-for-bit.
+        :class:`~repro.engine.ArrayBackend` (or its name) the vertex-scan
+        accounting sweeps against.  The default (``None``) is the dense
+        backend, which reproduces the historical full-array launch costs
+        bit-for-bit.
     tracer:
         optional :class:`~repro.trace.Tracer`; records one
         ``outer-iteration`` span per loop iteration with nested
@@ -153,10 +153,10 @@ def ecl_scc(
         shuffle; labels returned refer to the *original* IDs (still
         max-member normalized).
     faults:
-        optional :class:`~repro.faults.FaultPlan`; overrides
-        ``options.faults``.  The run injects the plan's seeded faults
-        (signature regressions during Phase 2, crash/restart of the
-        outer loop, bit-flips in the harvested labels) and recovers via
+        optional :class:`~repro.faults.FaultPlan`; ``None`` (the
+        default) is a fault-free run.  The run injects the plan's seeded
+        faults (signature regressions during Phase 2, crash/restart of
+        the outer loop, bit-flips in the harvested labels) and recovers via
         checkpoints and verification-guarded self-healing.  The outcome
         is summarized in ``result.status`` / ``result.fault_report``;
         every fault and recovery action is also a trace event and is
@@ -173,14 +173,8 @@ def ecl_scc(
     recorded labels.
     """
     opts = options or ALL_ON
-    plan = faults if faults is not None else opts.faults
-    if device is None:
-        device = VirtualDevice(A100)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
-    be = get_backend(backend if backend is not None else opts.backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    be = get_backend(backend)
+    device, tr = instrument(device, A100, tracer)
 
     if randomize_ids and graph.num_vertices > 1:
         from ..graph.ops import permute_random
@@ -188,7 +182,7 @@ def ecl_scc(
         permuted, mapping = permute_random(graph, seed)
         inner = ecl_scc(
             permuted, options=opts, device=device, backend=be,
-            seed=seed, tracer=tracer, faults=plan,
+            seed=seed, tracer=tracer, faults=faults,
         )
         # map back: original vertex v ran as mapping[v]; its component
         # label is a permuted ID, so normalize over original IDs
@@ -240,9 +234,9 @@ def ecl_scc(
 
     injector: "FaultInjector | None" = None
     store: "CheckpointStore | None" = None
-    if plan is not None:
-        injector = FaultInjector(plan, tracer=tr)
-        store = CheckpointStore(plan.checkpoint_every, injector=injector)
+    if faults is not None:
+        injector = FaultInjector(faults, tracer=tr)
+        store = CheckpointStore(faults.checkpoint_every, injector=injector)
 
     while active.any():
         # checkpoint at the top of the iteration (0 = genesis), so the
@@ -445,7 +439,7 @@ def ecl_scc(
     status = Status.CLEAN
     report = None
     if injector is not None:
-        if plan.bitflips:
+        if faults.bitflips:
             flipped = injector.flip_label_bits(labels, n)
             if flipped.size:
                 # verification-guarded self-healing: find the vertex set
@@ -454,7 +448,7 @@ def ecl_scc(
                 with tr.span("self-heal", flipped=int(flipped.size)):
                     heal_labels(
                         graph, labels, device=device,
-                        options=replace(opts, faults=None), backend=be,
+                        options=opts, backend=be,
                         injector=injector, tracer=tr,
                     )
         status = injector.status()

@@ -38,9 +38,9 @@ from ..engine.accounting import QUAD_SIGNATURE_EDGE_BYTES
 from ..engine.relax import push, rose, snapshot
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import NO_VERTEX, VERTEX_DTYPE
 from .eclscc import EclResult
 from .signatures import Signatures
@@ -61,13 +61,8 @@ def minmax_scc(
     """ECL-SCC with 2 max + 2 min signatures.  Same result contract as
     :func:`repro.core.eclscc.ecl_scc` (labels = max ID per component),
     and the same trace shape when *tracer* is passed."""
-    if device is None:
-        device = VirtualDevice(A100)
-    elif isinstance(device, DeviceSpec):
-        device = VirtualDevice(device)
     be = get_backend(backend)
-    tr = ensure_tracer(tracer)
-    attach_ledger(device, tr)
+    device, tr = instrument(device, A100, tracer)
     n = graph.num_vertices
     labels = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
     if n == 0:

@@ -1,19 +1,18 @@
 """Configuration of the ECL-SCC implementation.
 
 :class:`EclOptions` exposes exactly the four code optimizations the paper
-evaluates in Figure 14, plus the simulation knobs and safety bounds.  The
-ablation benchmark flips these flags one at a time.
+evaluates in Figure 14, plus the Phase-2 engine, the simulation knobs and
+the safety bounds.  The ablation benchmark flips these flags one at a
+time.  The accounting backend and a fault plan are not options: each is
+set only by the ``backend=`` / ``faults=`` keyword of
+:func:`~repro.core.eclscc.ecl_scc` and :func:`repro.solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from ..errors import AlgorithmError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> core)
-    from ..faults.plan import FaultPlan
 
 __all__ = [
     "EclOptions",
@@ -105,17 +104,6 @@ class EclOptions:
         :mod:`repro.engine.policy`) *per round* from frontier
         density, average frontier degree, and the running
         launch-overhead/bandwidth ratio.
-    backend:
-        name of the registered :class:`~repro.engine.ArrayBackend` the
-        run's primitives account against (``"dense"`` reproduces the
-        historical full-array sweeps; ``"frontier"`` models worklist
-        kernels).  Validated when the run resolves it via
-        :func:`~repro.engine.get_backend`.
-    faults:
-        optional :class:`~repro.faults.FaultPlan`; when set, the run
-        injects the plan's seeded faults and engages the recovery
-        machinery (checkpoint/restart, verification-guarded healing).
-        ``None`` (the default) is a fault-free run.
     """
 
     async_phase2: bool = True
@@ -126,8 +114,6 @@ class EclOptions:
     block_edges: int = 512
     max_outer_iterations: int = 0  # 0 = auto (|V| + 2)
     max_rounds: int = 0  # 0 = auto (3|V| + 16, see docstring)
-    backend: str = "dense"
-    faults: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
         if self.engine:

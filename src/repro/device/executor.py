@@ -6,7 +6,9 @@ the launch-accounting helpers the instrumented algorithms call.  It also
 implements the *launch-configuration* arithmetic from the paper (§3.4):
 512 threads per block, persistent-thread grids sized to the device's
 resident-thread capacity, and edge-to-block partitioning for the
-asynchronous Phase-2 kernel.
+asynchronous Phase-2 kernel.  The device keeps totals only; a per-launch
+record exists when a recording tracer is passed, through the launch
+ledger that :func:`repro.profile.ledger.instrument` attaches.
 """
 
 from __future__ import annotations
@@ -27,23 +29,19 @@ THREADS_PER_BLOCK = 512
 class VirtualDevice:
     """A device spec plus run counters; one instance per algorithm run.
 
-    With ``profile=True`` every launch's work size is also appended to
-    ``launch_history`` — the measured per-step parallelism profile used
-    by ``benchmarks/test_ext_parallelism.py``.
-
     ``ledger`` is normally ``None`` (the zero-overhead path: one ``is
     None`` check per charge).  :func:`repro.profile.attach_ledger` sets
     it to a :class:`~repro.profile.LaunchLedger` when a recording tracer
     is active, after which every ``launch``/``work``/``serial`` charge
     is also recorded as a per-phase
-    :class:`~repro.trace.LaunchRecord` delta.
+    :class:`~repro.trace.LaunchRecord` delta — the one per-launch
+    record (a launch's work size is its record's ``edge_work`` /
+    ``vertex_work``).
     """
 
-    def __init__(self, spec: DeviceSpec, *, profile: bool = False) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         self.spec = spec
         self.counters = KernelCounters()
-        self.profile = profile
-        self.launch_history: "list[tuple[int, int]]" = []
         self.ledger = None
         self._working_set_bytes = 0.0
 
@@ -106,10 +104,6 @@ class VirtualDevice:
             before = self.counters.snapshot()
             self.counters.launch(**kwargs)
             self.ledger.record("launch", before, self.counters.snapshot())
-        if self.profile:
-            self.launch_history.append(
-                (int(kwargs.get("edges", 0)), int(kwargs.get("vertices", 0)))
-            )
 
     def work(self, **kwargs) -> None:
         """In-kernel work of a persistent kernel (no launch recorded)."""

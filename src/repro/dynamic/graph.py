@@ -79,9 +79,9 @@ from ..engine.accounting import (
 from ..errors import GraphFormatError, GraphValidationError
 from ..faults.plan import FaultPlan
 from ..graph.csr import CSRGraph
-from ..profile.ledger import attach_ledger
+from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
-from ..trace import Tracer, ensure_tracer
+from ..trace import Tracer
 from ..types import VERTEX_DTYPE, as_vertex_array, ragged_arange
 
 __all__ = ["DynamicGraph", "UpdateReport", "DynamicCheckpoint"]
@@ -282,16 +282,9 @@ class DynamicGraph:
         faults: "FaultPlan | None" = None,
         labels: "np.ndarray | None" = None,
     ) -> None:
-        if device is None:
-            device = VirtualDevice(A100)
-        elif isinstance(device, DeviceSpec):
-            device = VirtualDevice(device)
-        self._device = device
-        self._tr = ensure_tracer(tracer)
-        attach_ledger(self._device, self._tr)
-        base = options or ALL_ON
-        self._opts = replace(base, engine=engine or "frontier", faults=None)
-        self._backend = get_backend(backend if backend is not None else base.backend)
+        self._device, self._tr = instrument(device, A100, tracer)
+        self._opts = replace(options or ALL_ON, engine=engine or "frontier")
+        self._backend = get_backend(backend)
         self._faults = faults
         self._n = graph.num_vertices
         src, dst = graph.edges()

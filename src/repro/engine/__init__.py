@@ -4,9 +4,9 @@ This package is the seam between the algorithms and everything below
 them.  The nine baselines and the core ECL-SCC implementations compose
 the device-accounted primitives in :mod:`repro.engine.primitives`; the
 primitives charge the device through :mod:`repro.engine.accounting`;
-and a pluggable :class:`~repro.engine.backend.ArrayBackend` decides how
-the modelled kernels sweep vertex state (topology-driven ``"dense"`` vs
-worklist-driven ``"frontier"``).  Labels never depend on the backend —
+and one of the two :class:`~repro.engine.backend.ArrayBackend` instances
+decides how the modelled kernels sweep vertex state (topology-driven
+``"dense"`` vs worklist-driven ``"frontier"``).  Labels never depend on the backend —
 only the accounting does.
 
 The Phase-2 round step is a choice too: a
@@ -47,7 +47,6 @@ from .backend import (
     FrontierBackend,
     backend_names,
     get_backend,
-    register_backend,
 )
 from .policy import (
     DENSE,
@@ -88,7 +87,6 @@ __all__ = [
     "ArrayBackend",
     "DenseNumpyBackend",
     "FrontierBackend",
-    "register_backend",
     "get_backend",
     "backend_names",
     "DEFAULT_BACKEND",

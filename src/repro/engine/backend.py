@@ -15,8 +15,9 @@ sweep vertex state.  Two strategies ship:
   worklist) use.  Labels are identical; only the device accounting
   (vertex work, hence traffic and estimated runtime) changes.
 
-Backends are registered by name so new array substrates (Numba kernels,
-sharded arrays) plug in without touching the algorithms:
+The two backends form a fixed name table; :func:`get_backend` resolves
+a name (or passes an instance through), and the CLI's ``--backend``
+choices are :func:`backend_names`:
 
     >>> from repro.engine import get_backend
     >>> get_backend("frontier").name
@@ -35,7 +36,6 @@ __all__ = [
     "ArrayBackend",
     "DenseNumpyBackend",
     "FrontierBackend",
-    "register_backend",
     "get_backend",
     "backend_names",
     "DEFAULT_BACKEND",
@@ -54,7 +54,7 @@ class ArrayBackend:
       topology-driven from worklist-driven kernel organizations.
     """
 
-    #: registry key; subclasses must override.
+    #: table key; subclasses must override.
     name = ""
 
     # ------------------------------------------------------------------
@@ -125,19 +125,12 @@ class FrontierBackend(DenseNumpyBackend):
         return int(min(total_vertices, max(worklist_size, 0)))
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
+#: the backend used when callers do not choose one — current semantics.
+DEFAULT_BACKEND = DenseNumpyBackend()
 
-_REGISTRY: "dict[str, ArrayBackend]" = {}
-
-
-def register_backend(backend: ArrayBackend) -> ArrayBackend:
-    """Register *backend* under ``backend.name``; returns it unchanged."""
-    if not backend.name:
-        raise AlgorithmError("backends must define a non-empty name")
-    _REGISTRY[backend.name] = backend
-    return backend
+_BACKENDS: "dict[str, ArrayBackend]" = {
+    b.name: b for b in (DEFAULT_BACKEND, FrontierBackend())
+}
 
 
 def get_backend(backend: "str | ArrayBackend | None") -> ArrayBackend:
@@ -147,7 +140,7 @@ def get_backend(backend: "str | ArrayBackend | None") -> ArrayBackend:
     if isinstance(backend, ArrayBackend):
         return backend
     try:
-        return _REGISTRY[backend]
+        return _BACKENDS[backend]
     except KeyError:
         raise AlgorithmError(
             f"unknown engine backend {backend!r}; known: {backend_names()}"
@@ -155,10 +148,5 @@ def get_backend(backend: "str | ArrayBackend | None") -> ArrayBackend:
 
 
 def backend_names() -> "tuple[str, ...]":
-    """Registered backend names, registration order."""
-    return tuple(_REGISTRY)
-
-
-#: the backend used when callers do not choose one — current semantics.
-DEFAULT_BACKEND = register_backend(DenseNumpyBackend())
-register_backend(FrontierBackend())
+    """The backend names, the default first."""
+    return tuple(_BACKENDS)

@@ -31,10 +31,10 @@ class ReproError(Exception):
 class GraphFormatError(ReproError, ValueError):
     """An array bundle does not describe a structurally valid graph.
 
-    Raised when constructing a :class:`repro.graph.CSRGraph` or
-    :class:`repro.graph.EdgeList` from arrays whose shapes, dtypes, or value
-    ranges are inconsistent (e.g. ``indptr`` not monotone, vertex IDs out of
-    range, mismatched ``src``/``dst`` lengths).
+    Raised when constructing a :class:`repro.graph.CSRGraph` from arrays
+    whose shapes, dtypes, or value ranges are inconsistent (e.g. ``indptr``
+    not monotone, vertex IDs out of range, mismatched ``src``/``dst``
+    lengths).
     """
 
 

@@ -2,12 +2,11 @@
 
 Public surface::
 
-    from repro.graph import CSRGraph, EdgeList
+    from repro.graph import CSRGraph
     g = CSRGraph.from_edges([0, 1, 2], [1, 2, 0])
 """
 
 from .csr import CSRGraph
-from .edgelist import EdgeList
 from .build import (
     from_networkx,
     from_scipy_sparse,
@@ -66,7 +65,6 @@ from .io import (
 
 __all__ = [
     "CSRGraph",
-    "EdgeList",
     "from_networkx",
     "from_scipy_sparse",
     "scipy_scc",

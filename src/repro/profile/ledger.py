@@ -1,7 +1,10 @@
-"""The per-launch device ledger.
+"""The per-launch device ledger and the run prologue that attaches it.
 
-:func:`attach_ledger` wires a :class:`~repro.device.VirtualDevice` to a
-recording :class:`~repro.trace.Tracer`: every subsequent
+:func:`instrument` is the prologue every device-backed entry point
+starts with: it resolves the run's device and tracer and calls
+:func:`attach_ledger`, which wires a
+:class:`~repro.device.VirtualDevice` to a recording
+:class:`~repro.trace.Tracer`: every subsequent
 ``launch()``/``work()``/``serial()`` charge is recorded as one
 :class:`~repro.trace.LaunchRecord` on ``tracer.trace.launches``, carrying
 the counter *deltas* of that single charge plus the span path that was
@@ -16,10 +19,12 @@ attached and the device keeps its zero-overhead accounting path — one
 
 from __future__ import annotations
 
+from ..device.executor import VirtualDevice
+from ..device.spec import DeviceSpec
 from ..trace.records import LaunchRecord
-from ..trace.tracer import Tracer
+from ..trace.tracer import Tracer, ensure_tracer
 
-__all__ = ["LaunchLedger", "attach_ledger"]
+__all__ = ["LaunchLedger", "attach_ledger", "instrument"]
 
 #: counter fields whose per-charge deltas are recorded, matching
 #: :meth:`~repro.device.KernelCounters.snapshot` keys exactly.
@@ -83,3 +88,25 @@ def attach_ledger(device, tracer) -> "LaunchLedger | None":
     ledger = LaunchLedger(tracer)
     device.ledger = ledger
     return ledger
+
+
+def instrument(
+    device: "VirtualDevice | DeviceSpec | None",
+    default_spec: DeviceSpec,
+    tracer: "Tracer | None",
+) -> "tuple[VirtualDevice, Tracer]":
+    """The run prologue shared by every device-backed entry point.
+
+    Wraps a bare :class:`~repro.device.DeviceSpec` (or ``None``, meaning
+    the code's *default_spec*) into a fresh
+    :class:`~repro.device.VirtualDevice`, passes a given device through,
+    maps ``tracer=None`` to the null tracer and attaches the launch
+    ledger.  Returns ``(device, tracer)``.
+    """
+    if device is None:
+        device = VirtualDevice(default_spec)
+    elif isinstance(device, DeviceSpec):
+        device = VirtualDevice(device)
+    tr = ensure_tracer(tracer)
+    attach_ledger(device, tr)
+    return device, tr

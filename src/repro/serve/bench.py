@@ -44,7 +44,7 @@ import numpy as np
 
 from ..faults.plan import FaultPlan
 from ..graph.generators import random_gnm
-from ..solver import solve
+from ..bench.runners import run_algorithm
 from .budget import Budget
 from .cache import DEFAULT_CACHE_BYTES
 from .jobs import JobKind, JobSpec, JobState
@@ -195,7 +195,7 @@ def run_serve_bench(
     initial_edges = {name: g.edges() for name, g in graphs.items()}
     # calibrate the arrival rate against the hot graph's cold-solve cost
     mean_service_s = float(
-        solve(graphs["g0"], engine=cfg.engine, backend=cfg.backend).model_seconds
+        run_algorithm(graphs["g0"], engine=cfg.engine, backend=cfg.backend).model_seconds
     )
     service = SccService(
         workers=cfg.workers,
@@ -363,7 +363,7 @@ def verify_report(
             nonlocal checked
             for job, labels in checks.pop(replay.generation, []):
                 cold = np.asarray(
-                    solve(replay.graph(), engine=engine, backend=backend).labels
+                    run_algorithm(replay.graph(), engine=engine, backend=backend).labels
                 )
                 if not np.array_equal(labels, cold):
                     failures.append(

@@ -712,7 +712,7 @@ class SccService:
             tracer = Tracer()
             snapshot = handle.graph()
             result = run_algorithm(
-                snapshot, "ecl-scc", self.spec,
+                snapshot, "ecl-scc", device=self.spec,
                 options=self.options, backend=self.backend,
                 engine=self.engine, tracer=tracer,
             )

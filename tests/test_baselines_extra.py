@@ -75,7 +75,7 @@ class TestRunnerIntegration:
     @pytest.mark.parametrize("algo", ["coloring", "multistep"])
     def test_run_algorithm(self, algo):
         g = scc_ladder(9)
-        r = run_algorithm(g, algo, XEON_6226R, verify=False)
+        r = run_algorithm(g, algo, device=XEON_6226R, verify=False)
         assert r.num_sccs == 9
         assert r.model_seconds > 0
 

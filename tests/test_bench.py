@@ -66,7 +66,7 @@ class TestThroughput:
 class TestRunners:
     def test_run_ecl(self):
         g = cycle_graph(50).with_name("c50")
-        r = run_algorithm(g, "ecl-scc", A100, verify=True)
+        r = run_algorithm(g, "ecl-scc", device=A100, verify=True)
         assert r.algorithm == "ecl-scc"
         assert r.device == "A100"
         assert r.graph_name == "c50"
@@ -77,7 +77,7 @@ class TestRunners:
 
     def test_run_with_wall_timing(self):
         g = scc_ladder(20)
-        r = run_algorithm(g, "gpu-scc", A100, time_wall=True, repeats=3)
+        r = run_algorithm(g, "gpu-scc", device=A100, time_wall=True, repeats=3)
         assert r.wall is not None
         assert r.wall_throughput_mvs > 0
 
@@ -87,16 +87,16 @@ class TestRunners:
     )
     def test_all_algorithms_run(self, algo):
         g = scc_ladder(8)
-        r = run_algorithm(g, algo, XEON_6226R)
+        r = run_algorithm(g, algo, device=XEON_6226R)
         assert r.num_sccs == 8
 
     def test_unknown_algorithm(self):
         with pytest.raises(AlgorithmError):
-            run_algorithm(cycle_graph(3), "dijkstra", A100)
+            run_algorithm(cycle_graph(3), "dijkstra", device=A100)
 
     def test_oracles_serial_cost(self):
         g = cycle_graph(100)
-        r = run_algorithm(g, "tarjan", XEON_6226R)
+        r = run_algorithm(g, "tarjan", device=XEON_6226R)
         assert r.counters["serial_work"] > 0
 
 

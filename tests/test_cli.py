@@ -134,7 +134,7 @@ class TestEngineSelection:
         from repro.errors import AlgorithmError
 
         with pytest.raises(AlgorithmError):
-            run_algorithm(cycle_graph(4), "fb", A100, engine="frontier")
+            run_algorithm(cycle_graph(4), "fb", device=A100, engine="frontier")
 
 
 class TestDistributedCli:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import tarjan_scc
-from repro.bench.runners import _DISPATCH
+from repro.bench.runners import _execute
 from repro.core import EclOptions, ecl_scc
 from repro.device.spec import A100
 from repro.engine import backend_names
@@ -210,9 +210,8 @@ def test_backend_algorithm_matrix(algorithm, backend, all_graphs):
     pre-refactor goldens under the default dense backend."""
     golden = GOLDEN_LAUNCHES[algorithm]
     assert len(golden) == len(all_graphs), "corpus drifted; recapture goldens"
-    fn = _DISPATCH[algorithm]
     for i, g in enumerate(all_graphs):
-        res = fn(g, A100, None, None, backend)
+        res = _execute(algorithm, g, A100, None, None, backend)
         assert np.array_equal(res.labels, tarjan_scc(g).labels), (
             algorithm, backend, i,
         )

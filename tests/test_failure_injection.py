@@ -21,7 +21,7 @@ from repro.errors import (
     ReproError,
     VerificationError,
 )
-from repro.graph import CSRGraph, EdgeList, cycle_graph
+from repro.graph import CSRGraph, cycle_graph
 from repro.mesh import Mesh, ElementType
 from repro.types import NO_VERTEX
 
@@ -41,7 +41,7 @@ class TestGraphInputs:
 
     def test_noninteger_vertex_space(self):
         with pytest.raises(GraphFormatError):
-            EdgeList([0, 1], [1, 2], num_vertices=1)
+            CSRGraph.from_edges([0, 1], [1, 2], num_vertices=1)
 
     def test_huge_vertex_id(self):
         # IDs beyond the declared space must be rejected, not wrapped

@@ -141,12 +141,12 @@ class TestFaultPlan:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_monotone_plan_is_label_invariant(engine, backend):
-    opts = EclOptions(backend=backend, **ENGINES[engine])
+    opts = EclOptions(**ENGINES[engine])
     plan = FaultPlan.monotone(seed=5, rate=0.8)
     for g in matrix_graphs():
-        clean = ecl_scc(g, options=opts)
+        clean = ecl_scc(g, options=opts, backend=backend)
         tracer = Tracer()
-        res = ecl_scc(g, options=opts, faults=plan, tracer=tracer)
+        res = ecl_scc(g, options=opts, backend=backend, faults=plan, tracer=tracer)
         assert np.array_equal(res.labels, clean.labels)
         rep = res.fault_report
         assert rep is not None and rep.plan == plan
@@ -164,10 +164,10 @@ def test_monotone_plan_is_label_invariant(engine, backend):
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engine_faults_charge_extra_work(engine, backend):
     g = scc_ladder(8)
-    opts = EclOptions(backend=backend, **ENGINES[engine])
-    clean = ecl_scc(g, options=opts)
+    opts = EclOptions(**ENGINES[engine])
+    clean = ecl_scc(g, options=opts, backend=backend)
     res = ecl_scc(
-        g, options=opts,
+        g, options=opts, backend=backend,
         faults=FaultPlan(seed=2, stale_read_rate=1.0, lost_update_rate=1.0),
     )
     assert res.fault_report.faults_injected > 0
@@ -187,9 +187,11 @@ def test_engine_faults_charge_extra_work(engine, backend):
 def test_chaos_plan_recovers_correct_labels(engine, backend):
     g = scc_ladder(10)
     truth = tarjan_scc(g).labels
-    opts = EclOptions(backend=backend, **ENGINES[engine])
+    opts = EclOptions(**ENGINES[engine])
     tracer = Tracer()
-    res = ecl_scc(g, options=opts, faults=FaultPlan.chaos(seed=1), tracer=tracer)
+    res = ecl_scc(
+        g, options=opts, backend=backend, faults=FaultPlan.chaos(seed=1), tracer=tracer
+    )
     assert np.array_equal(res.labels, truth)
     rep = res.fault_report
     assert res.status == "recovered"
@@ -470,7 +472,7 @@ def test_rank_loss_without_failover_raises_structured():
 def test_run_algorithm_threads_faults():
     g = scc_ladder(6)
     res = run_algorithm(
-        g, "ecl-scc", A100, faults=FaultPlan.monotone(seed=2), verify=True
+        g, "ecl-scc", device=A100, faults=FaultPlan.monotone(seed=2), verify=True
     )
     assert res.status in ("clean", "recovered")
     assert res.fault_report is not None
@@ -479,7 +481,7 @@ def test_run_algorithm_threads_faults():
 def test_run_algorithm_rejects_faults_for_baselines():
     g = cycle_graph(5)
     with pytest.raises(AlgorithmError):
-        run_algorithm(g, "fb", A100, faults=FaultPlan.monotone(seed=0))
+        run_algorithm(g, "fb", device=A100, faults=FaultPlan.monotone(seed=0))
 
 
 def test_fault_report_serializes():

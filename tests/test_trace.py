@@ -332,21 +332,21 @@ class TestRunAlgorithmTrace:
     def test_run_algorithm_carries_trace(self):
         g = scc_ladder(8)
         tr = Tracer()
-        rr = run_algorithm(g, "ecl-scc", A100, tracer=tr)
+        rr = run_algorithm(g, "ecl-scc", device=A100, tracer=tr)
         assert rr.trace is tr.trace
         assert rr.trace.count_spans("outer-iteration") >= 1
 
     def test_wall_repeats_run_untraced(self):
         g = scc_ladder(6)
         tr = Tracer()
-        rr = run_algorithm(g, "ecl-scc", A100, tracer=tr, time_wall=True, repeats=3)
+        rr = run_algorithm(g, "ecl-scc", device=A100, tracer=tr, time_wall=True, repeats=3)
         # exactly one traced run despite 3 timed repeats
         outer = rr.trace.count_spans("outer-iteration")
         single = ecl_scc(g).outer_iterations
         assert outer == single
 
     def test_untraced_run_algorithm(self):
-        rr = run_algorithm(scc_ladder(5), "tarjan", A100)
+        rr = run_algorithm(scc_ladder(5), "tarjan", device=A100)
         assert rr.trace is None
 
 
