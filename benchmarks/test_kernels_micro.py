@@ -2,9 +2,9 @@
 
 Not a paper table — these track the implementation's own hot paths so
 regressions in the NumPy formulations (the relaxation library's push
-and compression bodies, worklist compaction, the frontier, adaptive
-and async drains, dynamic apply, CSR construction, Tarjan) are visible
-in CI.
+and compression bodies, worklist compaction, one frontier round, the
+frontier, adaptive and async drains, dynamic apply, CSR construction,
+Tarjan) are visible in CI.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.core import (
 from repro.device import A100, VirtualDevice
 from repro.dynamic import DynamicGraph, generate_edge_log
 from repro.dynamic.replay import _net_effect
-from repro.engine import AdaptiveScheduler, get_backend
+from repro.engine import FRONTIER, AdaptiveScheduler, RoundState, get_backend
 from repro.engine.relax import push
 from repro.graph import CSRGraph, rmat_graph
 from repro.mesh import beam_hex, build_sweep_graph, ordinates_3d
@@ -81,6 +81,32 @@ def test_sweep_graph_construction(benchmark):
 def sweep_graph():
     """A mesh sweep graph: many narrow rounds, like the paper's meshes."""
     return build_sweep_graph(beam_hex(4), ordinates_3d(1)[0])
+
+
+@pytest.mark.parametrize("width", ["full", "one-vertex"])
+def test_frontier_round(benchmark, sweep_graph, width):
+    """One frontier-policy round from identity signatures.  The round
+    scans every worklist edge for the frontier's, so a one-vertex
+    frontier still costs O(m) host work; both ends are timed."""
+    src, dst = sweep_graph.edges()
+    n = sweep_graph.num_vertices
+    grouping = EdgeGrouping.build(src, dst)
+    mask = np.zeros(n, dtype=bool)
+    if width == "full":
+        mask[:] = True
+    else:
+        mask[src[0]] = True
+    frontier = np.flatnonzero(mask)
+
+    def run_round():
+        state = RoundState(
+            sigs=Signatures.identity(n), grouping=grouping,
+            frontier=frontier, frontier_mask=mask, num_vertices=n,
+            compress=True,
+        )
+        return FRONTIER.run_round(state, VirtualDevice(A100))
+
+    assert benchmark(run_round).any()
 
 
 def test_frontier_drain(benchmark, sweep_graph):

@@ -16,7 +16,10 @@ The engines implement the modelled kernel organizations:
   vertices whose signatures changed are re-relaxed, and the driver seeds
   each outer iteration from the *invalidated* vertices only
   (cross-iteration frontier reuse) instead of re-relaxing every
-  surviving edge to quiescence.  The ``frontier`` engine runs every
+  surviving edge to quiescence.  The modelled kernel is data-driven (it
+  reads the frontier vertices' edge buckets); the host finds the same
+  edges with one topology-driven scan of the worklist, which costs
+  fewer NumPy calls on narrow rounds.  The ``frontier`` engine runs every
   round as the ``frontier`` policy
   (:data:`~repro.engine.policy.FRONTIER`); the ``adaptive``
   engine passes an :class:`~repro.engine.scheduler.AdaptiveScheduler`
@@ -46,7 +49,6 @@ at scale 1/32 (best of 15, 2-vCPU x86-64 VM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +60,6 @@ from ..engine.accounting import (
 )
 from ..engine.backend import ArrayBackend
 from ..engine.policy import FRONTIER, RoundState
-from ..engine.primitives import build_vertex_incidence
 from ..engine.relax import full_round, push_round
 from ..engine.scheduler import AdaptiveScheduler
 from ..errors import ConvergenceError
@@ -79,13 +80,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EdgeGrouping:
-    """One static edge array pair plus the views a round reads.
+    """One static edge array pair plus the distinct endpoints.
 
-    ``order_by_src``/``order_by_dst`` are the stable orders in which the
-    frontier gather walks each vertex's out- and in-bucket
-    (:func:`~repro.engine.primitives.incident_edges`); ``touched`` holds
-    the distinct endpoints, the feedback set of a full-width round
-    (:func:`~repro.engine.relax.full_round`).
+    ``touched`` holds the distinct endpoints in increasing order, the
+    feedback set of a full-width round
+    (:func:`~repro.engine.relax.full_round`).  Every engine builds one
+    grouping per outer iteration, so ``touched`` comes from an endpoint
+    count rather than a sort.
     """
 
     src: np.ndarray
@@ -94,22 +95,12 @@ class EdgeGrouping:
 
     @classmethod
     def build(cls, src: np.ndarray, dst: np.ndarray) -> "EdgeGrouping":
-        touched = sorted_unique(np.concatenate([src, dst]))
+        touched = np.flatnonzero(np.bincount(np.concatenate([src, dst])))
         return cls(
             src=src,
             dst=dst,
             touched=touched.astype(VERTEX_DTYPE, copy=False),
         )
-
-    # sorted on first read: only the frontier gather walks the buckets,
-    # and a fault-recovery re-drain reuses the grouping's sort
-    @cached_property
-    def order_by_src(self) -> np.ndarray:
-        return np.argsort(self.src, kind="stable")
-
-    @cached_property
-    def order_by_dst(self) -> np.ndarray:
-        return np.argsort(self.dst, kind="stable")
 
     @property
     def num_edges(self) -> int:
@@ -333,11 +324,9 @@ def propagate_frontier(
 
     Model: one kernel compacts the invalidation flags into a vertex
     worklist (one atomic slot claim per seed vertex), then a single
-    persistent kernel drains it — each in-kernel round gathers the edges
-    incident to the current frontier, each exactly once and without a
-    sort or dedup (:func:`~repro.engine.primitives.incident_edges`: out-
-    buckets of frontier vertices, plus in-buckets filtered to sources
-    outside the frontier), scatter-maxes both signature
+    persistent kernel drains it — each in-kernel round reads the edge
+    buckets of the current frontier, takes each incident edge exactly
+    once, scatter-maxes both signature
     directions over exactly those edges, applies pointer jumping and
     signature feedback restricted to the touched endpoints, and enqueues
     every vertex whose signature rose into the next frontier
@@ -368,6 +357,11 @@ def propagate_frontier(
     drain (:func:`~repro.engine.accounting.charge_dense_round`), so the
     launch count does not depend on the policy mix.
 
+    Host work: a round finds its edges with one scan over the worklist
+    (:func:`~repro.engine.primitives.incident_edges`), the same set the
+    modelled bucket reads take and are charged for, and the scheduler's
+    density scan sums one incidence-degree array built per drain.
+
     The scheduler's inputs are fed here: structural launches via
     ``note_launches`` (the latency side of its ratio) and per-round
     counter deltas via ``account_round`` (the bandwidth side), both
@@ -377,7 +371,6 @@ def propagate_frontier(
     cannot perturb the main rounds' decision sequence.
     """
     bound = opts.rounds_bound(num_vertices)
-    out_ptr, in_ptr = build_vertex_incidence(grouping.src, grouping.dst, num_vertices)
     frontier = VertexFrontier.seeded(seed, num_vertices)
     charge_frontier_compaction(
         dev, backend, num_vertices=num_vertices, frontier_size=frontier.size,
@@ -397,13 +390,15 @@ def propagate_frontier(
     launches += 1
     if tally:
         scheduler.note_launches(1, blocks=blocks)
+    if scheduler is not None:
+        # out- plus in-degree, a self-loop counted twice
+        degree = np.bincount(grouping.src, minlength=num_vertices)
+        degree += np.bincount(grouping.dst, minlength=num_vertices)
     rounds = 0
     policy = FRONTIER
     state = RoundState(
         sigs=sigs,
         grouping=grouping,
-        out_ptr=out_ptr,
-        in_ptr=in_ptr,
         frontier=frontier.vertices,
         frontier_mask=frontier.mask,
         num_vertices=num_vertices,
@@ -421,8 +416,7 @@ def propagate_frontier(
             policy = scheduler.decide(
                 dev,
                 frontier=frontier.vertices,
-                out_ptr=out_ptr,
-                in_ptr=in_ptr,
+                degree=degree,
                 worklist_edges=grouping.num_edges,
                 touched=grouping.touched.size,
                 num_vertices=num_vertices,

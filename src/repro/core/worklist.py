@@ -65,8 +65,9 @@ class VertexFrontier:
 
     The front buffer holds the unique, sorted ids of vertices whose
     signatures changed last round, and ``mask`` is its ``num_vertices``
-    membership mask; the round's gather reads the mask to take each
-    frontier-incident edge exactly once
+    membership mask; the round's edge scan reads the mask at both
+    endpoints of every worklist edge, so each frontier-incident edge is
+    taken exactly once
     (:func:`~repro.engine.primitives.incident_edges`).  :meth:`advance`
     compacts the changed flags into the back buffer and swaps, mirroring
     :class:`DoubleBufferWorklist`'s pointer-swap discipline over

@@ -60,7 +60,6 @@ from .policy import (
 from .primitives import (
     active_degrees,
     backward_reach,
-    build_vertex_incidence,
     incident_edges,
     colored_fb_rounds,
     colored_reach,
@@ -136,6 +135,5 @@ __all__ = [
     "pivot_fb_step",
     "scc_edge_filter_mask",
     "normalize_labels_to_max",
-    "build_vertex_incidence",
     "incident_edges",
 ]

@@ -17,7 +17,9 @@ the two can never diverge in labels or charges).  How one edge is
 relaxed is the same for both: a policy holds no relaxation code; its
 round selects its edges, calls one round of :mod:`repro.engine.relax`
 (``full_round`` or ``push_round``, shared by every Phase-2 engine) and
-charges the device.
+charges the device.  The frontier round finds its edges with one scan
+over the worklist (:func:`~repro.engine.primitives.incident_edges`)
+and is charged for those edges as the modelled kernel's bucket reads.
 
 Correctness of mixing policies across rounds: every policy performs a
 monotone step of the same max-propagation join semilattice, a round that
@@ -71,21 +73,13 @@ class RoundState:
     #: Signatures-like object exposing ``sig_in``/``sig_out`` arrays.
     sigs: object
     #: EdgeGrouping-like object over the current edge worklist
-    #: (``src``/``dst``/``touched``/``num_edges`` plus the stable
-    #: per-endpoint orders the frontier gather reads).
+    #: (``src``/``dst``/``touched``/``num_edges``).
     grouping: object
-    #: per-direction incidence offsets of the worklist, from
-    #: :func:`~repro.engine.primitives.build_vertex_incidence`: vertex
-    #: v's out-bucket is ``grouping.order_by_src[out_ptr[v]:out_ptr[v+1]]``,
-    #: its in-bucket the same slice of ``order_by_dst`` under ``in_ptr``.
-    out_ptr: np.ndarray
-    in_ptr: np.ndarray
     #: sorted unique ids of vertices whose signatures changed last round.
     frontier: np.ndarray
-    #: ``num_vertices`` membership mask of ``frontier``; the gather's
-    #: "source in the frontier" test reads it, so every frontier-incident
-    #: edge is taken exactly once
-    #: (:func:`~repro.engine.primitives.incident_edges`).
+    #: ``num_vertices`` membership mask of ``frontier``; the frontier
+    #: round's edge scan reads it at both endpoints of every worklist
+    #: edge (:func:`~repro.engine.primitives.incident_edges`).
     frontier_mask: np.ndarray
     num_vertices: int
     #: apply the paper's path-compression refinements this round.
@@ -187,10 +181,7 @@ class FrontierPolicy(PropagationPolicy):
 
     def run_round(self, state: RoundState, dev) -> np.ndarray:
         g = state.grouping
-        idx = incident_edges(
-            state.frontier, state.frontier_mask, g.src,
-            state.out_ptr, g.order_by_src, state.in_ptr, g.order_by_dst,
-        )
+        idx = incident_edges(state.frontier_mask, g.src, g.dst)
         changed_v, compress_work = push_round(
             state.sigs, g.src[idx], g.dst[idx], state.num_vertices,
             compress=state.compress,

@@ -21,7 +21,9 @@ algorithms compose them instead of re-implementing their own loops:
 * :func:`scc_edge_filter_mask` — the signature-mismatch edge filter
   (ECL-SCC Phase 3, shared with the distributed BSP code);
 * :func:`normalize_labels_to_max` — max-member-ID label normalization,
-  the library-wide output convention.
+  the library-wide output convention;
+* :func:`incident_edges` — the edges incident to a vertex frontier,
+  found by one scan (the frontier Phase-2 engine's round gather).
 
 All device traffic is charged through :mod:`repro.engine.accounting`
 and sized by the active :class:`~repro.engine.backend.ArrayBackend`, so
@@ -58,7 +60,6 @@ __all__ = [
     "pivot_fb_step",
     "scc_edge_filter_mask",
     "normalize_labels_to_max",
-    "build_vertex_incidence",
     "incident_edges",
 ]
 
@@ -644,72 +645,20 @@ def scc_edge_filter_mask(
 
 
 # ---------------------------------------------------------------------------
-# vertex incidence (frontier Phase-2 engine)
+# frontier incidence (frontier Phase-2 engine)
 # ---------------------------------------------------------------------------
 
-def build_vertex_incidence(
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_vertices: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-direction incidence offsets: vertex -> its out- and in-bucket.
-
-    Returns ``(out_ptr, in_ptr)``, each of length ``num_vertices + 1``.
-    Vertex v's out-bucket is ``order_by_src[out_ptr[v]:out_ptr[v + 1]]``
-    and its in-bucket ``order_by_dst[in_ptr[v]:in_ptr[v + 1]]``, where
-    ``order_by_src``/``order_by_dst`` are the stable sorts of the edge
-    ids by source and by destination that
-    :class:`~repro.core.propagation.EdgeGrouping` already holds, so the
-    offsets cost two ``bincount`` + ``cumsum`` passes and no sort.
-    ``out_ptr + in_ptr`` is the incidence-degree prefix sum (a self-loop
-    counted twice) the adaptive scheduler's density scan reads.  Built
-    once per Phase-3 compaction by the frontier engine (charged by the
-    caller as part of the compaction pass).
-    """
-    out_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_vertices), out=out_ptr[1:])
-    in_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=num_vertices), out=in_ptr[1:])
-    return out_ptr, in_ptr
-
-
-def _gather_buckets(
-    ptr: np.ndarray, ids: np.ndarray, vertices: np.ndarray
-) -> np.ndarray:
-    """Concatenated buckets ``ids[ptr[v]:ptr[v + 1]]`` of *vertices*."""
-    starts = ptr[vertices]
-    counts = ptr[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # slot j of vertex k's run reads ids[starts[k] + j]
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return ids[shift + np.arange(total, dtype=np.int64)]
-
-
 def incident_edges(
-    frontier: np.ndarray,
-    frontier_mask: np.ndarray,
-    src: np.ndarray,
-    out_ptr: np.ndarray,
-    order_by_src: np.ndarray,
-    in_ptr: np.ndarray,
-    order_by_dst: np.ndarray,
+    frontier_mask: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
-    """Ids of the edges incident to the *frontier* vertices, each once.
+    """Ids of the edges ``src -> dst`` with an endpoint in the frontier.
 
-    The frontier engine's per-round gather, sort- and dedup-free.
-    *frontier* is duplicate-free and *frontier_mask* is its membership
-    mask.  The gather takes every edge in the out-bucket of each
-    frontier vertex, plus every edge in the in-bucket of each frontier
-    vertex whose source is *not* in the frontier; an edge with both
-    endpoints in the frontier therefore comes once, from its source's
-    out-bucket, and so does a self-loop.  Parallel edges keep their
-    distinct ids.  The result is the set ``np.unique`` of both buckets
-    would give, in bucket order; the scatter-max round that consumes it
-    does not depend on order.  Buckets are those of
-    :func:`build_vertex_incidence`.
+    The frontier engine's per-round gather: one scan over the worklist.
+    Each frontier-incident edge comes once, in edge order; parallel
+    edges keep their distinct ids and a self-loop comes once.  The
+    modelled kernel reads the frontier vertices' buckets instead and is
+    charged for exactly this set; the host scans because a few NumPy
+    calls over every edge cost less than a per-vertex bucket gather on
+    the narrow rounds that dominate mesh solves.
     """
-    out_e = _gather_buckets(out_ptr, order_by_src, frontier)
-    in_e = _gather_buckets(in_ptr, order_by_dst, frontier)
-    return np.concatenate([out_e, in_e[~frontier_mask[src[in_e]]]])
+    return np.flatnonzero(frontier_mask[src] | frontier_mask[dst])

@@ -64,7 +64,9 @@ def compress_paths(
     """Pointer doubling over *jump*, then signature feedback over *feed*.
 
     ``None`` stands for every vertex (then doubling rebinds
-    ``sigs.sig_in``/``sig_out`` to new arrays).  Pointer doubling:
+    ``sigs.sig_in``/``sig_out`` to new arrays).  When *feed* is the
+    *jump* array itself, feedback takes the values doubling just wrote
+    instead of gathering them again.  Pointer doubling:
     ``sig_out[v]`` names a descendant y of v, and y's own ``sig_out``
     names a descendant of y, hence of v, so ``sig_out <- sig_out[sig_out]``
     is a pure improvement; symmetric for ``sig_in``.
@@ -86,10 +88,14 @@ def compress_paths(
         sigs.sig_in = sig_in = sig_in[sig_in]
         sigs.sig_out = sig_out = sig_out[sig_out]
     else:
-        sig_in[jump] = sig_in[sig_in[jump]]
-        sig_out[jump] = sig_out[sig_out[jump]]
+        jumped_in, jumped_out = sig_in[sig_in[jump]], sig_out[sig_out[jump]]
+        sig_in[jump] = jumped_in
+        sig_out[jump] = jumped_out
     if feed is None:
         in_t, out_t = sig_in, sig_out
+    elif feed is jump:
+        # what gathering sig_in[feed]/sig_out[feed] would read back
+        in_t, out_t = jumped_in, jumped_out
     else:
         in_t, out_t = sig_in[feed], sig_out[feed]
     np.maximum.at(sig_in, out_t, in_t)

@@ -180,8 +180,7 @@ class AdaptiveScheduler:
         dev,
         *,
         frontier: np.ndarray,
-        out_ptr: np.ndarray,
-        in_ptr: np.ndarray,
+        degree: np.ndarray,
         worklist_edges: int,
         touched: int,
         num_vertices: int,
@@ -192,10 +191,12 @@ class AdaptiveScheduler:
     ) -> PropagationPolicy:
         """Pick the policy for one round; charge and record the decision.
 
-        *out_ptr*/*in_ptr* are the worklist's per-direction incidence
-        offsets (:func:`~repro.engine.primitives.build_vertex_incidence`);
-        the density scan sums both over the frontier, so ``degree_sum``
-        is each frontier vertex's out- plus in-degree.
+        *degree* is each vertex's out- plus in-degree in the worklist (a
+        self-loop counted twice), built once per drain; the density
+        scan sums it over the frontier into ``degree_sum``.  The
+        modelled scan still reads the frontier vertices' bucket offsets
+        and is charged for them
+        (:func:`~repro.engine.accounting.charge_scheduler_scan`).
         """
         if recovery:
             decision = PolicyDecision(
@@ -237,10 +238,7 @@ class AdaptiveScheduler:
             )
             picked = FRONTIER
         else:
-            degree_sum = int(
-                (out_ptr[frontier + 1] - out_ptr[frontier]).sum()
-                + (in_ptr[frontier + 1] - in_ptr[frontier]).sum()
-            )
+            degree_sum = int(degree[frontier].sum())
             charge_scheduler_scan(dev, frontier_size=frontier.size)
             stats = RoundStats(
                 frontier_size=int(frontier.size),

@@ -16,10 +16,12 @@ from repro.core import (
     propagate_sync,
 )
 from repro.device import A100, VirtualDevice
-from repro.engine import build_vertex_incidence, get_backend, incident_edges
+from repro.engine import get_backend, primitives
 from repro.engine.relax import full_round
+from repro.engine.scheduler import AdaptiveScheduler
 from repro.errors import AlgorithmError, ConvergenceError
 from repro.graph import cycle_graph, path_graph, permute_random
+from repro.types import sorted_unique
 
 
 def run_sync(graph, opts):
@@ -204,28 +206,120 @@ class TestFrontierEngine:
         assert dev.counters.blocks_scheduled <= 2 * cap
 
 
-def gather(src, dst, n, frontier_ids):
-    """Run the frontier gather over edges (src, dst) from *frontier_ids*."""
-    grouping = EdgeGrouping.build(src, dst)
-    out_ptr, in_ptr = build_vertex_incidence(src, dst, n)
-    frontier = VertexFrontier.seeded(np.asarray(frontier_ids, dtype=np.int64), n)
-    return incident_edges(
-        frontier.vertices, frontier.mask, src,
-        out_ptr, grouping.order_by_src, in_ptr, grouping.order_by_dst,
+# ---------------------------------------------------------------------------
+# reference: the per-vertex bucket gather the frontier round used before
+# it scanned the worklist, kept verbatim (its docstrings describe the
+# engine as it was then)
+# ---------------------------------------------------------------------------
+
+def build_vertex_incidence(
+    src: np.ndarray,
+    dst: np.ndarray,
+    num_vertices: int,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-direction incidence offsets: vertex -> its out- and in-bucket.
+
+    Returns ``(out_ptr, in_ptr)``, each of length ``num_vertices + 1``.
+    Vertex v's out-bucket is ``order_by_src[out_ptr[v]:out_ptr[v + 1]]``
+    and its in-bucket ``order_by_dst[in_ptr[v]:in_ptr[v + 1]]``, where
+    ``order_by_src``/``order_by_dst`` are the stable sorts of the edge
+    ids by source and by destination that
+    :class:`~repro.core.propagation.EdgeGrouping` already holds, so the
+    offsets cost two ``bincount`` + ``cumsum`` passes and no sort.
+    ``out_ptr + in_ptr`` is the incidence-degree prefix sum (a self-loop
+    counted twice) the adaptive scheduler's density scan reads.  Built
+    once per Phase-3 compaction by the frontier engine (charged by the
+    caller as part of the compaction pass).
+    """
+    out_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=out_ptr[1:])
+    in_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=num_vertices), out=in_ptr[1:])
+    return out_ptr, in_ptr
+
+
+def _gather_buckets(
+    ptr: np.ndarray, ids: np.ndarray, vertices: np.ndarray
+) -> np.ndarray:
+    """Concatenated buckets ``ids[ptr[v]:ptr[v + 1]]`` of *vertices*."""
+    starts = ptr[vertices]
+    counts = ptr[vertices + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    # slot j of vertex k's run reads ids[starts[k] + j]
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return ids[shift + np.arange(total, dtype=np.int64)]
+
+
+def incident_edges(
+    frontier: np.ndarray,
+    frontier_mask: np.ndarray,
+    src: np.ndarray,
+    out_ptr: np.ndarray,
+    order_by_src: np.ndarray,
+    in_ptr: np.ndarray,
+    order_by_dst: np.ndarray,
+) -> np.ndarray:
+    """Ids of the edges incident to the *frontier* vertices, each once.
+
+    The frontier engine's per-round gather, sort- and dedup-free.
+    *frontier* is duplicate-free and *frontier_mask* is its membership
+    mask.  The gather takes every edge in the out-bucket of each
+    frontier vertex, plus every edge in the in-bucket of each frontier
+    vertex whose source is *not* in the frontier; an edge with both
+    endpoints in the frontier therefore comes once, from its source's
+    out-bucket, and so does a self-loop.  Parallel edges keep their
+    distinct ids.  The result is the set ``np.unique`` of both buckets
+    would give, in bucket order; the scatter-max round that consumes it
+    does not depend on order.  Buckets are those of
+    :func:`build_vertex_incidence`.
+    """
+    out_e = _gather_buckets(out_ptr, order_by_src, frontier)
+    in_e = _gather_buckets(in_ptr, order_by_dst, frontier)
+    return np.concatenate([out_e, in_e[~frontier_mask[src[in_e]]]])
+
+
+def drain_degree_sum(src, dst, n, frontier):
+    """``degree_sum`` of the first decision of an adaptive drain seeded
+    with *frontier*: a first decision always scans."""
+    scheduler = AdaptiveScheduler(A100, num_vertices=n, num_edges=src.size)
+    propagate_frontier(
+        Signatures.identity(n), EdgeGrouping.build(src, dst), VirtualDevice(A100),
+        EclOptions(engine="adaptive"), n, seed=frontier,
+        backend=get_backend("dense"), scheduler=scheduler,
     )
+    return scheduler.decisions[0].degree_sum
 
 
 def assert_exact_once(src, dst, n, frontier_ids):
-    """The gather equals the brute-force incident set, with no repeats."""
+    """The worklist scan equals the bucket gather, with no repeats.
+
+    Also checked on the same input: the drain's density scan sums the
+    bucket degrees, and the grouping's ``touched`` is the sorted set of
+    endpoints.
+    """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    got = gather(src, dst, n, frontier_ids)
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(frontier_ids, dtype=np.int64)] = True
-    ref = np.flatnonzero(mask[src] | mask[dst])
+    frontier = VertexFrontier.seeded(np.asarray(frontier_ids, dtype=np.int64), n)
+    out_ptr, in_ptr = build_vertex_incidence(src, dst, n)
+    ref = incident_edges(
+        frontier.vertices, frontier.mask, src,
+        out_ptr, np.argsort(src, kind="stable"),
+        in_ptr, np.argsort(dst, kind="stable"),
+    )
+    got = primitives.incident_edges(frontier.mask, src, dst)
     assert got.dtype == np.int64
-    assert np.unique(got).size == got.size, "an edge id was gathered twice"
-    assert np.array_equal(np.sort(got), ref)
+    assert np.unique(got).size == got.size, "an edge id was scanned twice"
+    assert np.unique(ref).size == ref.size, "an edge id was gathered twice"
+    assert np.array_equal(np.sort(got), np.sort(ref))
+    f = frontier.vertices
+    if f.size:
+        bucket_degrees = (out_ptr[f + 1] - out_ptr[f]).sum() + (in_ptr[f + 1] - in_ptr[f]).sum()
+        assert drain_degree_sum(src, dst, n, f) == bucket_degrees
+    touched = EdgeGrouping.build(src, dst).touched
+    assert touched.dtype == np.int64
+    assert np.array_equal(touched, sorted_unique(np.concatenate([src, dst])))
 
 
 class TestIncidentEdges:

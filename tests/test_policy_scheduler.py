@@ -19,7 +19,6 @@ from repro.core.propagation import EdgeGrouping
 from repro.device.executor import VirtualDevice
 from repro.device.spec import A100
 from repro.engine.policy import DENSE, FRONTIER, RoundState, RoundStats
-from repro.engine.primitives import build_vertex_incidence
 from repro.engine.scheduler import (
     DENSITY_THRESHOLD,
     LAUNCH_BOUND_RATIO,
@@ -70,10 +69,9 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
     src, dst = graph.edges()
     sigs = Signatures.identity(n)
     grouping = EdgeGrouping.build(src, dst)
-    out_ptr, in_ptr = build_vertex_incidence(src, dst, n)
     dev = VirtualDevice(A100)
     state = RoundState(
-        sigs=sigs, grouping=grouping, out_ptr=out_ptr, in_ptr=in_ptr,
+        sigs=sigs, grouping=grouping,
         frontier=np.arange(n, dtype=np.int64),
         frontier_mask=np.ones(n, dtype=bool), num_vertices=n,
         compress=compress,
@@ -157,8 +155,7 @@ class TestAdaptiveEngine:
         before = dev.counters.snapshot()
         sched.decide(
             dev, frontier=np.array([0, 1]),
-            out_ptr=np.zeros(9, dtype=np.int64),
-            in_ptr=np.zeros(9, dtype=np.int64), worklist_edges=8,
+            degree=np.zeros(8, dtype=np.int64), worklist_edges=8,
             touched=8, num_vertices=8, compress=True, outer=1, round_no=1,
         )
         after = dev.counters.snapshot()
@@ -176,8 +173,7 @@ class TestSchedulerUnit:
         n = sched.num_vertices
         return sched.decide(
             dev, frontier=frontier,
-            out_ptr=np.zeros(n + 1, dtype=np.int64),
-            in_ptr=np.zeros(n + 1, dtype=np.int64),
+            degree=np.zeros(n, dtype=np.int64),
             worklist_edges=4, touched=4, num_vertices=n, compress=False,
             outer=1, round_no=round_no, recovery=recovery,
         )
