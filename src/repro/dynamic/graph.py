@@ -144,10 +144,6 @@ class DynamicCheckpoint:
         return self.src.nbytes + self.dst.nbytes + self.labels.nbytes
 
 
-def _copy_counters(counters: KernelCounters) -> KernelCounters:
-    return replace(counters, notes=dict(counters.notes))
-
-
 class _CondCache:
     """The cached condensation DAG with per-edge multiplicities.
 
@@ -509,7 +505,7 @@ class DynamicGraph:
             src=self._src.copy(),
             dst=self._dst.copy(),
             labels=self.labels.copy(),
-            counters=_copy_counters(self._device.counters),
+            counters=self._device.counters.copy(),
             ledger_len=len(ledger.records) if ledger is not None else 0,
             history_len=len(self.history),
         )
@@ -529,7 +525,7 @@ class DynamicGraph:
         self.generation = ckpt.generation
         del self.history[ckpt.history_len:]
         self._cond = None
-        self._device.counters = _copy_counters(ckpt.counters)
+        self._device.counters = ckpt.counters.copy()
         ledger = getattr(self._device, "ledger", None)
         if ledger is not None:
             del ledger.records[ckpt.ledger_len:]

@@ -121,7 +121,7 @@ class VerificationError(ReproError, AssertionError):
 
 
 class IOFormatError(ReproError, ValueError):
-    """A graph file could not be parsed in the declared format."""
+    """A graph or trace file could not be parsed in the declared format."""
 
 
 class FaultError(ReproError, RuntimeError):

@@ -29,12 +29,13 @@ of :mod:`repro.faults.plan`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..device.counters import KernelCounters
 from ..errors import FaultError
+from ..graph.ops import induced_subgraph
 from .inject import FaultInjector
 
 __all__ = [
@@ -47,10 +48,6 @@ __all__ = [
 
 #: self-healing gives up (raises FaultError) after this many passes.
 MAX_HEAL_PASSES = 3
-
-
-def _copy_counters(counters: KernelCounters) -> KernelCounters:
-    return replace(counters, notes=dict(counters.notes))
 
 
 @dataclass
@@ -132,7 +129,7 @@ class CheckpointStore:
             wl_generation=wl.generation,
             total_rounds=int(total_rounds),
             completed_per_iteration=list(completed_per_iteration),
-            counters=_copy_counters(device.counters),
+            counters=device.counters.copy(),
             ledger_len=len(ledger.records) if ledger is not None else 0,
             sig_in=sigs.sig_in.copy() if sigs is not None else None,
             sig_out=sigs.sig_out.copy() if sigs is not None else None,
@@ -185,7 +182,7 @@ class CheckpointStore:
             invalidated[:] = ckpt.invalidated
         if scheduler is not None and ckpt.scheduler_state is not None:
             scheduler.restore_state(ckpt.scheduler_state)
-        device.counters = _copy_counters(ckpt.counters)
+        device.counters = ckpt.counters.copy()
         ledger = getattr(device, "ledger", None)
         if ledger is not None:
             # drop the crashed iterations' launch records alongside their
@@ -249,7 +246,7 @@ def heal_labels(
         offenders = fixed_point_offenders(graph, labels)
         if offenders.size == 0:
             return labels
-        sub = _induced_subgraph(graph, offenders)
+        sub, _ = induced_subgraph(graph, offenders)
         heal_dev = type(device)(device.spec)
         sub_res = ecl_scc(
             sub, options=options, device=heal_dev, backend=backend,
@@ -268,17 +265,3 @@ def heal_labels(
             " invariant"
         )
     return labels
-
-
-def _induced_subgraph(graph, vertices: np.ndarray):
-    """Induced subgraph on ascending *vertices*, renumbered 0..k-1."""
-    from ..graph.csr import CSRGraph
-
-    n = graph.num_vertices
-    inv = np.full(n, -1, dtype=np.int64)
-    inv[vertices] = np.arange(vertices.size, dtype=np.int64)
-    src, dst = graph.edges()
-    keep = (inv[src] >= 0) & (inv[dst] >= 0)
-    return CSRGraph.from_edges(
-        inv[src[keep]], inv[dst[keep]], int(vertices.size)
-    )

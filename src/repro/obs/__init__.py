@@ -19,13 +19,17 @@ only visible as end-of-run totals.  This package turns a run into
   latency/availability objectives with error-budget burn alerts, wired
   to the ``repro obs slo`` CLI and the ``obs-slo`` CI gate.
 
+Series points and timelines are the trace's own
+:class:`~repro.trace.SampleRecord` and :class:`~repro.trace.TimelineRecord`,
+so a run's observability data joins a JSONL trace unconverted.
+
 ``repro.serve`` never imports this package — the observer hook is
 duck-typed — so the control plane stays observability-agnostic.  See
 ``docs/observability.md`` §10.
 """
 
-from .timeseries import Sample, SeriesRegistry, StreamingHistogram
-from .timeline import PHASE_OF_DECISION, JobTimeline, Segment, job_timeline
+from .timeseries import SeriesRegistry, StreamingHistogram
+from .timeline import PHASE_OF_DECISION, job_timeline
 from .recorder import BREAKER_STATE_LEVELS, ObsRecorder
 from .perfetto import dump_perfetto, export_perfetto
 from .slo import (
@@ -37,11 +41,8 @@ from .slo import (
 )
 
 __all__ = [
-    "Sample",
     "SeriesRegistry",
     "StreamingHistogram",
-    "Segment",
-    "JobTimeline",
     "PHASE_OF_DECISION",
     "job_timeline",
     "ObsRecorder",

@@ -32,6 +32,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from ..device.counters import COUNTER_FIELDS
 from .timeline import job_timeline
 
 __all__ = ["export_perfetto", "dump_perfetto"]
@@ -42,20 +43,6 @@ _PID_COUNTERS = 0
 _PID_WORKERS = 1
 _PID_QUEUES = 2
 _PID_JOBS = 3
-
-#: LaunchRecord counter-delta fields aggregated into span args.
-_LAUNCH_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
 
 
 def _meta(pid: int, name: str, tid: "int | None" = None,
@@ -133,7 +120,7 @@ def _span_slices(job: Any) -> "list[dict]":
         if rec.span_id is None:
             continue
         agg = charges.setdefault(rec.span_id, {})
-        for name in _LAUNCH_FIELDS:
+        for name in COUNTER_FIELDS:
             value = getattr(rec, name)
             if value:
                 agg[name] = agg.get(name, 0) + value
@@ -189,10 +176,9 @@ def export_perfetto(report: Any, *, recorder: Any = None) -> "dict[str, Any]":
                             tid=graph_tids[graph], tname=f"queue {graph}")
 
         if job.terminal:
-            tl = job_timeline(art)
             events += _meta(_PID_JOBS, "job phases", tid=art["id"],
                             tname=f"job {art['id']} ({art['workload']})")
-            for seg in tl.segments:
+            for phase, t0, t1 in job_timeline(job).segments:
                 common = {
                     "cat": "job-phase",
                     "id": str(art["id"]),
@@ -200,16 +186,15 @@ def export_perfetto(report: Any, *, recorder: Any = None) -> "dict[str, Any]":
                     "tid": art["id"],
                 }
                 events.append({
-                    "ph": "b", "name": seg.phase, "ts": seg.t0 * _US,
-                    "args": {"t0": seg.t0, "t1": seg.t1,
-                             "state": art["state"]},
+                    "ph": "b", "name": phase, "ts": t0 * _US,
+                    "args": {"t0": t0, "t1": t1, "state": art["state"]},
                     **common,
                 })
                 events.append({
-                    "ph": "e", "name": seg.phase, "ts": seg.t1 * _US,
+                    "ph": "e", "name": phase, "ts": t1 * _US,
                     "args": {}, **common,
                 })
-                if seg.phase == "queued":
+                if phase == "queued":
                     qcommon = {
                         "cat": "queue",
                         "id": str(art["id"]),
@@ -218,12 +203,12 @@ def export_perfetto(report: Any, *, recorder: Any = None) -> "dict[str, Any]":
                     }
                     events.append({
                         "ph": "b", "name": f"job {art['id']}",
-                        "ts": seg.t0 * _US,
-                        "args": {"t0": seg.t0, "t1": seg.t1}, **qcommon,
+                        "ts": t0 * _US,
+                        "args": {"t0": t0, "t1": t1}, **qcommon,
                     })
                     events.append({
                         "ph": "e", "name": f"job {art['id']}",
-                        "ts": seg.t1 * _US, "args": {}, **qcommon,
+                        "ts": t1 * _US, "args": {}, **qcommon,
                     })
 
     if recorder is not None:

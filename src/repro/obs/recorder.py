@@ -7,7 +7,7 @@ processes; the recorder samples the control plane's state onto a
 series, so flat stretches cost nothing), streams terminal-job
 latencies into :class:`~repro.obs.timeseries.StreamingHistogram`
 sketches, and folds each newly-terminal job's decision history into a
-:class:`~repro.obs.timeline.JobTimeline`.
+:class:`~repro.trace.TimelineRecord`, records a trace stores as they are.
 
 Observation is data-driven: each call folds only the entries the
 service appended to its change log (``service.log``) since the last
@@ -28,7 +28,8 @@ import math
 from operator import attrgetter
 from typing import Any
 
-from .timeline import JobTimeline, job_timeline
+from ..trace.records import TimelineRecord
+from .timeline import job_timeline
 from .timeseries import SeriesRegistry, StreamingHistogram
 
 __all__ = ["ObsRecorder", "BREAKER_STATE_LEVELS"]
@@ -72,7 +73,7 @@ class ObsRecorder:
         self.latency_hist = StreamingHistogram(growth)
         #: per-phase dwell time across all terminal jobs, seconds
         self.phase_hists: "dict[str, StreamingHistogram]" = {}
-        self.timelines: "list[JobTimeline]" = []
+        self.timelines: "list[TimelineRecord]" = []
         self.report: Any = None
         self._growth = growth
         self._cursor = 0                # next unread ``service.log`` entry
@@ -199,24 +200,6 @@ class ObsRecorder:
 
     def to_trace(self, trace: Any) -> Any:
         """Append samples + timelines to a ``repro.trace.Trace`` (v3)."""
-        from repro.trace.records import SampleRecord, TimelineRecord
-
-        for s in self.registry.samples:
-            trace.samples.append(
-                SampleRecord(series=s.series, kind=s.kind, t=s.t, value=s.value)
-            )
-        for tl in self.timelines:
-            trace.timelines.append(
-                TimelineRecord(
-                    job_id=tl.job_id,
-                    tenant=tl.tenant,
-                    workload=tl.workload,
-                    state=tl.state,
-                    submit_s=tl.submit_s,
-                    finish_s=tl.finish_s,
-                    segments=tuple(
-                        (seg.phase, seg.t0, seg.t1) for seg in tl.segments
-                    ),
-                )
-            )
+        trace.samples.extend(self.registry.samples)
+        trace.timelines.extend(self.timelines)
         return trace

@@ -2,27 +2,29 @@
 
 Every :class:`~repro.serve.jobs.Job` already carries its full decision
 history (``job.decisions``: timestamped control-plane decisions from
-submit to terminal).  This module folds that history into a
-:class:`JobTimeline` — an ordered, non-overlapping, **contiguous**
-sequence of named phase segments:
+submit to terminal).  :func:`job_timeline` folds that history into a
+:class:`~repro.trace.TimelineRecord` — the record a trace's JSONL
+``timeline`` line stores — whose ``(phase, t0, t1)`` segments are
+ordered, non-overlapping and **contiguous**:
 
     SUBMIT → admission → queued → execute → (backoff → admission →
     queued → execute)* → finalize → TERMINAL
 
 Exactness is structural, not arithmetic: consecutive segments *share*
-their breakpoint floats (``seg[i].t1 is seg[i+1].t0`` bit-for-bit), the
-first segment starts at ``submit_s`` and the last ends at ``finish_s``.
-So the decomposition "sums" to the end-to-end latency exactly — there
-is no telescoping float error to accumulate, because nothing is summed
-to verify it: the endpoints are the latency.
+their breakpoint floats (``segments[i][2] is segments[i+1][1]``
+bit-for-bit), the first segment starts at ``submit_s`` and the last
+ends at ``finish_s``.  So the decomposition "sums" to the end-to-end
+latency exactly — there is no telescoping float error to accumulate,
+because nothing is summed to verify it: the endpoints are the latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["PHASE_OF_DECISION", "Segment", "JobTimeline", "job_timeline"]
+from ..trace.records import TimelineRecord
+
+__all__ = ["PHASE_OF_DECISION", "job_timeline"]
 
 #: Phase the job is in *after* each control-plane decision.  Terminal
 #: decisions (``done``/``rejected``/``shed``/``dead-letter`` written by
@@ -47,148 +49,61 @@ PHASE_OF_DECISION = {
 }
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous phase of a job's life, ``[t0, t1]`` simulated s."""
+def job_timeline(job: Any) -> TimelineRecord:
+    """Fold a terminal :class:`~repro.serve.jobs.Job`'s decisions into a timeline.
 
-    phase: str
-    t0: float
-    t1: float
-
-    def __post_init__(self) -> None:
-        if self.t1 < self.t0:
-            raise ValueError(
-                f"segment {self.phase} runs backwards"
-                f" ({self.t0} -> {self.t1})"
-            )
-
-    @property
-    def duration_s(self) -> float:
-        return self.t1 - self.t0
-
-    def as_dict(self) -> "dict[str, Any]":
-        return {"phase": self.phase, "t0": self.t0, "t1": self.t1}
-
-
-@dataclass(frozen=True)
-class JobTimeline:
-    """A terminal job's latency decomposed into contiguous segments."""
-
-    job_id: int
-    tenant: str
-    workload: str
-    state: str
-    submit_s: float
-    finish_s: float
-    segments: "tuple[Segment, ...]"
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError(f"job {self.job_id}: empty timeline")
-        segs = self.segments
-        if segs[0].t0 != self.submit_s:
-            raise ValueError(
-                f"job {self.job_id}: timeline starts at {segs[0].t0},"
-                f" not submit_s={self.submit_s}"
-            )
-        if segs[-1].t1 != self.finish_s:
-            raise ValueError(
-                f"job {self.job_id}: timeline ends at {segs[-1].t1},"
-                f" not finish_s={self.finish_s}"
-            )
-        for a, b in zip(segs, segs[1:]):
-            if a.t1 != b.t0:
-                raise ValueError(
-                    f"job {self.job_id}: gap/overlap between"
-                    f" {a.phase}@{a.t1} and {b.phase}@{b.t0}"
-                )
-        for s in segs:
-            if s.t1 < s.t0:
-                raise ValueError(
-                    f"job {self.job_id}: segment {s.phase} runs backwards"
-                    f" ({s.t0} -> {s.t1})"
-                )
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency; equals the segment span by construction."""
-        return self.finish_s - self.submit_s
-
-    def by_phase(self) -> "dict[str, float]":
-        """Total seconds spent in each phase."""
-        out: "dict[str, float]" = {}
-        for s in self.segments:
-            out[s.phase] = out.get(s.phase, 0.0) + s.duration_s
-        return out
-
-    def as_dict(self) -> "dict[str, Any]":
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "workload": self.workload,
-            "state": self.state,
-            "submit_s": self.submit_s,
-            "finish_s": self.finish_s,
-            "segments": [s.as_dict() for s in self.segments],
-        }
-
-
-def job_timeline(job: Any) -> JobTimeline:
-    """Fold a terminal job's decision history into a :class:`JobTimeline`.
-
-    Accepts a live :class:`~repro.serve.jobs.Job` or its
-    :meth:`~repro.serve.jobs.Job.artifact` dict.  Raises ``ValueError``
-    for jobs still in flight (no terminal decision yet) or for decision
-    names this module does not know (fail loud: an unknown decision
-    means the service grew a phase the timeline would silently lose).
+    Raises ``ValueError`` for a job still in flight, for a decision name
+    this module does not know (an unknown decision means the service grew
+    a phase the timeline would silently lose), for a decision earlier than
+    the one before it, and for segments that leave a gap or do not run
+    from ``submit_s`` to ``finish_s``.
     """
-    art = job if isinstance(job, dict) else job.artifact()
-    finish_s = art.get("finish_s")
+    finish_s = job.finish_s
     if finish_s is None:
-        raise ValueError(f"job {art.get('id')} is not terminal yet")
-    decisions = art["decisions"]
+        raise ValueError(f"job {job.id} is not terminal yet")
+    decisions = job.decisions
     if not decisions:
-        raise ValueError(f"job {art['id']} has no decision history")
-    submit_s = art["submit_s"]
+        raise ValueError(f"job {job.id} has no decision history")
+    submit_s = job.submit_s
 
-    raw: "list[Segment]" = []
-    # decision i opens the phase that lasts until decision i+1; the
-    # final (terminal) decision closes the timeline at finish_s.
+    # decision i opens the phase that lasts until decision i+1 (the
+    # final, terminal decision closes the timeline); adjacent decisions
+    # of one phase merge into one segment, breakpoints shared
+    merged: "list[tuple[str, float, float]]" = []
     for cur, nxt in zip(decisions, decisions[1:]):
-        name = cur["decision"]
-        phase = PHASE_OF_DECISION.get(name)
+        phase = PHASE_OF_DECISION.get(cur["decision"])
         if phase is None:
-            raise ValueError(
-                f"job {art['id']}: unknown decision {name!r} at t={cur['t']}"
-            )
-        raw.append(Segment(phase=phase, t0=cur["t"], t1=nxt["t"]))
-
-    if not raw:
+            raise ValueError(f"job {job.id}: unknown decision {cur['decision']!r} at t={cur['t']}")
+        t0, t1 = cur["t"], nxt["t"]
+        if t1 < t0:
+            raise ValueError(f"job {job.id}: decision {nxt['decision']!r} at t={t1} runs backwards")
+        if merged and merged[-1][0] == phase:
+            merged[-1] = (phase, merged[-1][1], t1)
+        else:
+            merged.append((phase, t0, t1))
+    if not merged:
         # single-decision history cannot happen (finish always follows
         # at least a submit), but guard with a zero-width admission span
-        raw.append(Segment(phase="admission", t0=submit_s, t1=finish_s))
+        merged.append(("admission", submit_s, finish_s))
 
-    # merge adjacent same-phase segments (shared breakpoints preserved),
-    # then drop zero-width ones — removal keeps contiguity because a
-    # zero-width segment's endpoints are the same float.
-    merged: "list[Segment]" = []
-    for seg in raw:
-        if merged and merged[-1].phase == seg.phase:
-            merged[-1] = Segment(phase=seg.phase, t0=merged[-1].t0, t1=seg.t1)
-        else:
-            merged.append(seg)
-    slim = [s for s in merged if s.t1 != s.t0]
-    if not slim:  # zero-latency job: keep one zero-width segment
-        slim = [merged[0]] if len(merged) == 1 else [
-            Segment(phase=merged[0].phase, t0=submit_s, t1=finish_s)
-        ]
+    # drop zero-width segments (removal keeps contiguity because their
+    # endpoints are the same float); a zero-latency job keeps its first
+    segments = [seg for seg in merged if seg[2] != seg[1]] or merged[:1]
+    if segments[0][1] != submit_s or segments[-1][2] != finish_s:
+        raise ValueError(
+            f"job {job.id}: timeline runs {segments[0][1]} -> {segments[-1][2]},"
+            f" not submit_s={submit_s} -> finish_s={finish_s}"
+        )
+    for a, b in zip(segments, segments[1:]):
+        if a[2] != b[1]:
+            raise ValueError(f"job {job.id}: gap between {a[0]}@{a[2]} and {b[0]}@{b[1]}")
 
-    return JobTimeline(
-        job_id=art["id"],
-        tenant=art["tenant"],
-        workload=art["workload"],
-        state=art["state"],
+    return TimelineRecord(
+        job_id=job.id,
+        tenant=job.spec.tenant,
+        workload=job.spec.workload,
+        state=str(job.state),
         submit_s=submit_s,
         finish_s=finish_s,
-        segments=tuple(slim),
+        segments=tuple(segments),
     )

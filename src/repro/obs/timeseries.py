@@ -25,20 +25,11 @@ the nearest-rank order statistic, which lies inside the same bucket).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Sample", "SeriesRegistry", "StreamingHistogram"]
+from ..trace.records import SampleRecord
 
-
-@dataclass(frozen=True)
-class Sample:
-    """One timestamped point of a named series (simulated seconds)."""
-
-    series: str
-    kind: str  # "counter" | "gauge"
-    t: float
-    value: float
+__all__ = ["SeriesRegistry", "StreamingHistogram"]
 
 
 class SeriesRegistry:
@@ -50,9 +41,9 @@ class SeriesRegistry:
     """
 
     def __init__(self) -> None:
-        self.samples: "list[Sample]" = []
+        self.samples: "list[SampleRecord]" = []
         self._kinds: "dict[str, str]" = {}
-        self._last: "dict[str, Sample]" = {}
+        self._last: "dict[str, SampleRecord]" = {}
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -87,7 +78,7 @@ class SeriesRegistry:
                 )
             if prev.t == t and prev.value == value:
                 return  # duplicate point: event-loop sampling dedup
-        sample = Sample(series=series, kind=kind, t=float(t), value=float(value))
+        sample = SampleRecord(series=series, kind=kind, t=float(t), value=float(value))
         self.samples.append(sample)
         self._last[series] = sample
 
@@ -98,11 +89,11 @@ class SeriesRegistry:
     def kind_of(self, series: str) -> "str | None":
         return self._kinds.get(series)
 
-    def series(self, name: str) -> "list[Sample]":
+    def series(self, name: str) -> "list[SampleRecord]":
         """All samples of one series, in time order."""
         return [s for s in self.samples if s.series == name]
 
-    def last(self, name: str) -> "Sample | None":
+    def last(self, name: str) -> "SampleRecord | None":
         return self._last.get(name)
 
     def peak(self, name: str) -> "float | None":

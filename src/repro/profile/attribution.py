@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from ..device.costmodel import TERM_NAMES, cost_terms
-from ..device.counters import KernelCounters
+from ..device.counters import COUNTER_FIELDS, KernelCounters
 from ..device.spec import DeviceSpec
 from ..trace.records import LaunchRecord, Trace
 
@@ -44,20 +44,6 @@ CLASSIFICATIONS = {
     "compute": "compute-bound",
 }
 
-#: counter fields aggregated per phase (snapshot() keys).
-_COUNTER_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
-
 
 @dataclass
 class PhaseProfile:
@@ -66,7 +52,7 @@ class PhaseProfile:
     path: "Tuple[str, ...]"
     records: int = 0
     counters: "Dict[str, int]" = field(
-        default_factory=lambda: {f: 0 for f in _COUNTER_FIELDS}
+        default_factory=lambda: {f: 0 for f in COUNTER_FIELDS}
     )
     seconds: "Dict[str, float]" = field(
         default_factory=lambda: {t: 0.0 for t in TERM_NAMES}
@@ -124,7 +110,7 @@ def aggregate_counters(launches: "list[LaunchRecord]") -> KernelCounters:
     """
     agg = KernelCounters()
     for rec in launches:
-        for f in _COUNTER_FIELDS:
+        for f in COUNTER_FIELDS:
             setattr(agg, f, getattr(agg, f) + getattr(rec, f))
     return agg
 
@@ -169,7 +155,7 @@ def attribute_launches(
         if ph is None:
             ph = phases[rec.path] = PhaseProfile(path=rec.path)
         ph.records += 1
-        for f in _COUNTER_FIELDS:
+        for f in COUNTER_FIELDS:
             ph.counters[f] += getattr(rec, f)
         terms = cost_terms(rec, spec, working_set_bytes=working_set_bytes)
         if loser == "memory":
@@ -179,17 +165,14 @@ def attribute_launches(
         for t in TERM_NAMES:
             ph.seconds[t] += terms[t]
     # per-phase round counts from the event stream
-    span_path = {s.span_id: None for s in trace.spans}
-    if trace.spans:
-        for path, span in trace.iter_paths():
-            span_path[span.span_id] = path
+    path_of_span = {s.span_id: s.path for s in trace.spans}
     for ev in trace.events:
         if ev.kind != "counter" or ev.name not in (
             "relaxation-round",
             "scheduler:pick",
         ):
             continue
-        path = span_path.get(ev.span_id)
+        path = path_of_span.get(ev.span_id)
         if path is None:
             continue
         ph = phases.get(path)

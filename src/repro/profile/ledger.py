@@ -19,27 +19,13 @@ attached and the device keeps its zero-overhead accounting path — one
 
 from __future__ import annotations
 
+from ..device.counters import COUNTER_FIELDS
 from ..device.executor import VirtualDevice
 from ..device.spec import DeviceSpec
 from ..trace.records import LaunchRecord
 from ..trace.tracer import Tracer, ensure_tracer
 
 __all__ = ["LaunchLedger", "attach_ledger", "instrument"]
-
-#: counter fields whose per-charge deltas are recorded, matching
-#: :meth:`~repro.device.KernelCounters.snapshot` keys exactly.
-_DELTA_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
 
 
 class LaunchLedger:
@@ -66,7 +52,7 @@ class LaunchLedger:
                 kind=kind,
                 path=self.tracer.current_path(),
                 span_id=self.tracer.current_span_id,
-                **{f: after[f] - before[f] for f in _DELTA_FIELDS},
+                **{f: after[f] - before[f] for f in COUNTER_FIELDS},
             )
         )
 

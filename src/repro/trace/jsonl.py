@@ -26,6 +26,8 @@ One JSON object per line.  Line types (the ``type`` field):
 back to NaN.  The format is append-friendly and diff-friendly: spans are
 written in start order, events in emission order, launches in charge
 order, samples in sampling order, timelines in job-completion order.
+
+A span line stores no path: import sets it from the parent chain.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import math
 from pathlib import Path
 from typing import IO, Any, Iterable, Union
 
+from ..device.counters import COUNTER_FIELDS
+from ..errors import IOFormatError
 from .records import (
     SCHEMA_VERSION,
     EventRecord,
@@ -48,21 +52,6 @@ from .records import (
 __all__ = ["dump_jsonl", "dumps_jsonl", "load_jsonl", "loads_jsonl"]
 
 PathLike = Union[str, Path]
-
-#: counter-delta fields of a launch line, in emission order; zero deltas
-#: are omitted from the JSON to keep ledger lines short.
-_LAUNCH_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
 
 
 def _json_default(value: Any) -> Any:
@@ -105,7 +94,8 @@ def _launch_obj(rec: LaunchRecord) -> "dict[str, Any]":
         "path": list(rec.path),
         "span": rec.span_id,
     }
-    for name in _LAUNCH_FIELDS:
+    # zero deltas are omitted to keep ledger lines short
+    for name in COUNTER_FIELDS:
         value = getattr(rec, name)
         if value:
             obj[name] = value
@@ -172,86 +162,122 @@ def loads_jsonl(text: str) -> Trace:
     """Parse a JSONL string back into a :class:`Trace`.
 
     Files written before schema versioning (no ``schema`` field on the
-    ``meta`` line, or no ``meta`` line at all) are read as schema 1;
-    files declaring a *newer* schema than this library understands raise
-    :class:`ValueError` instead of mis-parsing.
+    ``meta`` line, or no ``meta`` line at all) are read as schema 1.
+    Malformed files, and files declaring a *newer* schema than this
+    library understands, raise :class:`~repro.errors.IOFormatError` (a
+    ``ValueError``) naming the line instead of mis-parsing.
     """
     trace = Trace(schema=1)
+    span_lines: "list[int]" = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
         if not raw:
             continue
-        obj = json.loads(raw)
-        kind = obj.get("type")
-        if kind == "meta":
-            trace.meta.update(obj.get("meta", {}))
-            schema = int(obj.get("schema", 1))
-            if schema > SCHEMA_VERSION:
-                raise ValueError(
-                    f"line {lineno}: trace schema {schema} is newer than"
-                    f" the supported version {SCHEMA_VERSION}"
+        try:
+            obj = json.loads(raw)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            kind = obj.get("type")
+            if kind == "meta":
+                trace.meta.update(obj.get("meta", {}))
+                schema = int(obj.get("schema", 1))
+                if schema > SCHEMA_VERSION:
+                    raise ValueError(
+                        f"trace schema {schema} is newer than"
+                        f" the supported version {SCHEMA_VERSION}"
+                    )
+                trace.schema = schema
+            elif kind == "span":
+                trace.spans.append(
+                    SpanRecord(
+                        name=obj["name"],
+                        span_id=int(obj["id"]),
+                        parent_id=None if obj["parent"] is None else int(obj["parent"]),
+                        depth=int(obj["depth"]),
+                        t_start=float(obj["t0"]),
+                        t_end=math.nan if obj["t1"] is None else float(obj["t1"]),
+                        attrs=dict(obj.get("attrs", {})),
+                    )
                 )
-            trace.schema = schema
-        elif kind == "span":
-            trace.spans.append(
-                SpanRecord(
-                    name=obj["name"],
-                    span_id=int(obj["id"]),
-                    parent_id=None if obj["parent"] is None else int(obj["parent"]),
-                    depth=int(obj["depth"]),
-                    t_start=float(obj["t0"]),
-                    t_end=math.nan if obj["t1"] is None else float(obj["t1"]),
-                    attrs=dict(obj.get("attrs", {})),
+                span_lines.append(lineno)
+            elif kind in ("counter", "gauge"):
+                trace.events.append(
+                    EventRecord(
+                        name=obj["name"],
+                        kind=kind,
+                        value=float(obj["value"]),
+                        t=float(obj["t"]),
+                        span_id=None if obj.get("span") is None else int(obj["span"]),
+                        attrs=dict(obj.get("attrs", {})),
+                    )
                 )
-            )
-        elif kind in ("counter", "gauge"):
-            trace.events.append(
-                EventRecord(
-                    name=obj["name"],
-                    kind=kind,
-                    value=float(obj["value"]),
-                    t=float(obj["t"]),
-                    span_id=None if obj.get("span") is None else int(obj["span"]),
-                    attrs=dict(obj.get("attrs", {})),
+            elif kind == "launch":
+                trace.launches.append(
+                    LaunchRecord(
+                        seq=int(obj["seq"]),
+                        kind=obj["kind"],
+                        path=tuple(obj.get("path", ())),
+                        span_id=None if obj.get("span") is None else int(obj["span"]),
+                        **{f: int(obj.get(f, 0)) for f in COUNTER_FIELDS},
+                    )
                 )
-            )
-        elif kind == "launch":
-            trace.launches.append(
-                LaunchRecord(
-                    seq=int(obj["seq"]),
-                    kind=obj["kind"],
-                    path=tuple(obj.get("path", ())),
-                    span_id=None if obj.get("span") is None else int(obj["span"]),
-                    **{f: int(obj.get(f, 0)) for f in _LAUNCH_FIELDS},
+            elif kind == "sample":
+                trace.samples.append(
+                    SampleRecord(
+                        series=obj["series"],
+                        kind=obj["kind"],
+                        t=float(obj["t"]),
+                        value=float(obj["value"]),
+                    )
                 )
-            )
-        elif kind == "sample":
-            trace.samples.append(
-                SampleRecord(
-                    series=obj["series"],
-                    kind=obj["kind"],
-                    t=float(obj["t"]),
-                    value=float(obj["value"]),
+            elif kind == "timeline":
+                trace.timelines.append(
+                    TimelineRecord(
+                        job_id=int(obj["job"]),
+                        tenant=obj["tenant"],
+                        workload=obj["workload"],
+                        state=obj["state"],
+                        submit_s=float(obj["submit"]),
+                        finish_s=float(obj["finish"]),
+                        segments=tuple(
+                            (str(phase), float(t0), float(t1))
+                            for phase, t0, t1 in obj.get("segments", ())
+                        ),
+                    )
                 )
-            )
-        elif kind == "timeline":
-            trace.timelines.append(
-                TimelineRecord(
-                    job_id=int(obj["job"]),
-                    tenant=obj["tenant"],
-                    workload=obj["workload"],
-                    state=obj["state"],
-                    submit_s=float(obj["submit"]),
-                    finish_s=float(obj["finish"]),
-                    segments=tuple(
-                        (str(phase), float(t0), float(t1))
-                        for phase, t0, t1 in obj.get("segments", ())
-                    ),
-                )
-            )
-        else:
-            raise ValueError(f"line {lineno}: unknown record type {kind!r}")
+            else:
+                raise ValueError(f"unknown record type {kind!r}")
+        except KeyError as exc:
+            raise IOFormatError(f"line {lineno}: {kind} line lacks {exc}") from exc
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise IOFormatError(f"line {lineno}: {exc}") from exc
+    _link_paths(trace.spans, span_lines)
     return trace
+
+
+def _link_paths(spans: "list[SpanRecord]", lines: "list[int]") -> None:
+    """Set each span's path from its parent chain, walking each chain once.
+
+    A span listed before its parent still gets the full path; one whose
+    parent id names no span starts a path of its own.  Parent ids that
+    form a cycle raise :class:`IOFormatError` naming the span's line.
+    """
+    by_id = {s.span_id: s for s in spans}
+    for span, lineno in zip(spans, lines):
+        chain, walked = [span], {span.span_id}
+        parent = by_id.get(span.parent_id)
+        while parent is not None and not parent.path:  # not linked yet
+            if parent.span_id in walked:
+                raise IOFormatError(
+                    f"line {lineno}: the parent ids of span {span.span_id}"
+                    f" form a cycle through span {parent.span_id}"
+                )
+            walked.add(parent.span_id)
+            chain.append(parent)
+            parent = by_id.get(parent.parent_id)
+        path = () if parent is None else parent.path
+        for rec in reversed(chain):
+            path = rec.path = path + (rec.name,)
 
 
 def load_jsonl(path: "PathLike | IO[str]") -> Trace:

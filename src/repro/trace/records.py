@@ -1,17 +1,20 @@
 """Typed trace records and the :class:`Trace` container.
 
-A finished trace is a flat list of :class:`SpanRecord` (in *start*
-order — a parent always precedes its children) plus a flat list of
-:class:`EventRecord` (counters and gauges, in emission order).  Records
-are plain dataclasses so traces compare with ``==``, round-trip through
+Every record a trace holds is defined here once: spans (each carrying
+its root-to-span ``path``), counter/gauge events, launch-ledger charges
+(whose counter fields are :data:`~repro.device.counters.COUNTER_FIELDS`),
+and the series samples and job timelines ``repro.obs`` builds.  A
+finished trace keeps spans in *start* order — a parent always precedes
+its children — and the other records in emission order.  Records are
+plain dataclasses so traces compare with ``==``, round-trip through
 JSONL losslessly, and need no tracer machinery to inspect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Optional
 
 __all__ = [
     "SpanRecord",
@@ -70,6 +73,9 @@ class SpanRecord:
         tracer-clock timestamps; ``t_end`` is NaN while the span is open.
     attrs:
         arbitrary JSON-representable key/value annotations.
+    path:
+        names from the root span down to this one (the parent's path
+        plus ``name``); ledger charges, summaries and attribution use it.
     """
 
     name: str
@@ -79,6 +85,7 @@ class SpanRecord:
     t_start: float
     t_end: float = math.nan
     attrs: "dict[str, Any]" = field(default_factory=dict)
+    path: "tuple[str, ...]" = ()
 
     @property
     def duration(self) -> float:
@@ -108,9 +115,9 @@ class LaunchRecord:
     Recorded by :func:`repro.profile.attach_ledger` as the *delta* of the
     device's :class:`~repro.device.KernelCounters` across a single
     ``launch()``/``work()``/``serial()`` call, tagged with the span path
-    that was open when the charge happened.  The counter fields use the
-    exact names of :meth:`~repro.device.KernelCounters.snapshot`, so a
-    record duck-types as a tiny ``KernelCounters`` for the cost model.
+    that was open when the charge happened.  The counter fields are
+    :data:`~repro.device.counters.COUNTER_FIELDS`, in order, so a record
+    duck-types as a tiny ``KernelCounters`` for the cost model.
     """
 
     seq: int
@@ -131,7 +138,7 @@ class LaunchRecord:
 
 @dataclass
 class SampleRecord:
-    """One simulated-clock time-series point (``repro.obs`` export).
+    """One simulated-clock time-series point (a ``repro.obs`` series).
 
     ``kind`` distinguishes cumulative ``counter`` series (monotone
     totals; a rate is the slope between points) from instantaneous
@@ -149,11 +156,11 @@ class SampleRecord:
 class TimelineRecord:
     """One terminal job's latency decomposed into phase segments.
 
-    ``segments`` is a tuple of ``(phase, t0, t1)`` triples that are
-    ordered, non-overlapping and contiguous: consecutive segments share
-    their breakpoint, the first starts at ``submit_s`` and the last
-    ends at ``finish_s`` — so the decomposition spans the end-to-end
-    latency exactly.
+    Built by :func:`repro.obs.job_timeline`.  ``segments`` is a tuple of
+    ``(phase, t0, t1)`` triples that are ordered, non-overlapping and
+    contiguous: consecutive segments share their breakpoint, the first
+    starts at ``submit_s`` and the last ends at ``finish_s`` — so the
+    decomposition spans the end-to-end latency exactly.
     """
 
     job_id: int
@@ -163,6 +170,21 @@ class TimelineRecord:
     submit_s: float
     finish_s: float
     segments: "tuple[tuple[str, float, float], ...]" = ()
+
+    def by_phase(self) -> "dict[str, float]":
+        """Total seconds spent in each phase."""
+        out: "dict[str, float]" = {}
+        for phase, t0, t1 in self.segments:
+            out[phase] = out.get(phase, 0.0) + (t1 - t0)
+        return out
+
+    def as_dict(self) -> "dict[str, Any]":
+        """The JSON-safe form the ``repro.obs`` summary prints."""
+        out = asdict(self)
+        out["segments"] = [
+            {"phase": phase, "t0": t0, "t1": t1} for phase, t0, t1 in self.segments
+        ]
+        return out
 
 
 @dataclass
@@ -195,51 +217,14 @@ class Trace:
     def find_spans(self, name: str) -> "list[SpanRecord]":
         return [s for s in self.spans if s.name == name]
 
-    def children_of(self, span: SpanRecord) -> "list[SpanRecord]":
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def roots(self) -> "list[SpanRecord]":
         return [s for s in self.spans if s.parent_id is None]
-
-    def count_events(self, name: str) -> int:
-        """Number of events labelled *name*."""
-        return sum(1 for e in self.events if e.name == name)
 
     def sum_counter(self, name: str) -> float:
         """Sum of all counter values labelled *name*."""
         return float(
             sum(e.value for e in self.events if e.name == name and e.kind == COUNTER)
         )
-
-    def span_path(self, span: SpanRecord) -> "tuple[str, ...]":
-        """Name chain from the root down to *span*."""
-        by_id = {s.span_id: s for s in self.spans}
-        names: "list[str]" = []
-        cur: "SpanRecord | None" = span
-        while cur is not None:
-            names.append(cur.name)
-            cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
-        return tuple(reversed(names))
-
-    def iter_paths(self) -> "Iterator[tuple[tuple[str, ...], SpanRecord]]":
-        """Every span with its :meth:`span_path`, in start order.
-
-        Linear in the span count: spans are recorded in start order, so
-        a parent's path is built before its children's, and each path
-        extends its parent's.  A span listed before its parent falls
-        back to :meth:`span_path`.
-        """
-        ids = {s.span_id for s in self.spans}
-        paths: "dict[int, tuple[str, ...]]" = {}
-        for s in self.spans:
-            if s.parent_id not in ids:
-                path = (s.name,)
-            elif s.parent_id in paths:
-                path = paths[s.parent_id] + (s.name,)
-            else:
-                path = self.span_path(s)
-            paths[s.span_id] = path
-            yield path, s
 
     # ------------------------------------------------------------------
     # JSONL convenience (implementation in repro.trace.jsonl)

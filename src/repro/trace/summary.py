@@ -57,12 +57,10 @@ class PathStats:
 def summarize_spans(trace: Trace) -> "list[PathStats]":
     """Aggregate spans by path, in first-appearance (pre-)order."""
     stats: "dict[Tuple[str, ...], PathStats]" = {}
-    path_of: "dict[int, Tuple[str, ...]]" = {}
-    for path, span in trace.iter_paths():
-        path_of[span.span_id] = path
-        ps = stats.get(path)
+    for span in trace.spans:
+        ps = stats.get(span.path)
         if ps is None:
-            ps = stats[path] = PathStats(path=path)
+            ps = stats[span.path] = PathStats(path=span.path)
         ps.count += 1
         if span.closed:
             ps.total += span.duration
@@ -71,12 +69,13 @@ def summarize_spans(trace: Trace) -> "list[PathStats]":
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 ps.attrs_sums[key] = ps.attrs_sums.get(key, 0.0) + value
     # exclusive time: subtract each closed child's duration from its
-    # parent's path bucket
+    # parent's path bucket (a root's or an orphan's ``path[:-1]`` is
+    # empty, which names no bucket)
     for span in trace.spans:
-        if span.closed and span.parent_id is not None:
-            parent_path = path_of.get(span.parent_id)
-            if parent_path in stats:
-                stats[parent_path].self_total -= span.duration
+        if span.closed:
+            parent = stats.get(span.path[:-1])
+            if parent is not None:
+                parent.self_total -= span.duration
     return list(stats.values())
 
 

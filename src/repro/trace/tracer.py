@@ -9,6 +9,9 @@ Usage::
             sp.set(rounds=1)
     tracer.trace.count_spans("outer-iteration")   # -> 1
 
+A span's ``path`` is set when it opens, from its parent's, so the
+launch ledger stamps each charge with that tuple (:meth:`Tracer.current_path`).
+
 Every instrumented entry point takes ``tracer=None``; ``None`` resolves
 to the shared :data:`NULL_TRACER`, whose disabled path performs no clock
 reads, no allocation, and no recording — passing no tracer costs nothing
@@ -117,23 +120,20 @@ class Tracer:
         return self._stack[-1].span_id if self._stack else None
 
     def current_path(self) -> "tuple[str, ...]":
-        """Name chain of the currently open spans (root first).
-
-        Empty tuple at top level; the ``repro.profile`` ledger stamps it
-        on every device charge so per-launch costs can be attributed to
-        phases without re-walking the span tree.
-        """
-        return tuple(record.name for record in self._stack)
+        """The open span's path (root first); empty at top level."""
+        return self._stack[-1].path if self._stack else ()
 
     def span(self, name: str, **attrs: Any):
         """Open a nested span; use as a context manager."""
+        parent = self._stack[-1] if self._stack else None
         record = SpanRecord(
             name=name,
             span_id=self._next_id,
-            parent_id=self.current_span_id,
+            parent_id=None if parent is None else parent.span_id,
             depth=len(self._stack),
             t_start=self._clock(),
             attrs=plain_attrs(attrs),
+            path=(name,) if parent is None else parent.path + (name,),
         )
         self._next_id += 1
         self._trace.spans.append(record)

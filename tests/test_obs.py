@@ -33,8 +33,6 @@ from repro.obs import (
     BREAKER_STATE_LEVELS,
     ObsRecorder,
     PHASE_OF_DECISION,
-    Sample,
-    Segment,
     SeriesRegistry,
     SLObjective,
     SLOSpec,
@@ -47,8 +45,10 @@ from repro.obs import (
 from repro.obs.recorder import _SAMPLED_COUNTERS
 from repro.serve import (
     Budget,
+    Job,
     JobKind,
     JobSpec,
+    JobState,
     SccService,
     ServeBenchConfig,
     ShedPolicy,
@@ -187,7 +187,7 @@ class TestSeriesRegistry:
         assert reg.names() == ["depth", "done"]
         assert reg.kind_of("depth") == "gauge"
         assert reg.peak("depth") == 5.0
-        assert reg.last("done") == Sample("done", "counter", 1.0, 2.0)
+        assert reg.last("done") == SampleRecord("done", "counter", 1.0, 2.0)
         d = reg.as_dict()
         assert d["depth"]["points"] == [[0.0, 1.0], [1.0, 5.0]]
         assert d["done"]["kind"] == "counter"
@@ -197,17 +197,17 @@ class TestSeriesRegistry:
 # timelines: the bit-exact decomposition property, across chaos plans
 # ---------------------------------------------------------------------------
 
-def _assert_exact_decomposition(tl, art):
+def _assert_exact_decomposition(tl, job):
     """Ordered, non-overlapping, contiguous, spanning exactly."""
     segs = tl.segments
-    assert segs[0].t0 == art["submit_s"]
-    assert segs[-1].t1 == art["finish_s"]
-    for a, b in zip(segs, segs[1:]):
-        assert a.t1 == b.t0          # shared breakpoint, bit-exact
-        assert a.t0 <= a.t1          # ordered, non-overlapping
+    assert segs[0][1] == job.submit_s
+    assert segs[-1][2] == job.finish_s
+    for (_, a0, a1), (_, b0, _) in zip(segs, segs[1:]):
+        assert a1 == b0              # shared breakpoint, bit-exact
+        assert a0 <= a1              # ordered, non-overlapping
     # because breakpoints are shared floats, the telescoping sum *is*
     # terminal_time - submit_time with no arithmetic involved
-    assert segs[-1].t1 - segs[0].t0 == art["latency_s"]
+    assert segs[-1][2] - segs[0][1] == job.latency_s
 
 
 #: one small serve run per draw: chaos plan, cache/coalescing, shed
@@ -253,12 +253,21 @@ def test_timeline_decomposition_is_exact_under_chaos(
     assert len(obs.timelines) == len(report.jobs)
     by_id = {tl.job_id: tl for tl in obs.timelines}
     for job in report.jobs:
-        art = job.artifact()
         tl = by_id[job.id]
-        _assert_exact_decomposition(tl, art)
-        # rebuilding from the JSON-safe artifact gives the same timeline
-        assert job_timeline(art).as_dict() == tl.as_dict()
+        _assert_exact_decomposition(tl, job)
+        # folding the finished job again gives the same timeline
+        assert job_timeline(job) == tl
         assert set(tl.by_phase()) <= set(PHASE_OF_DECISION.values())
+
+
+def _done_job(decisions, *, submit_s=0.0, finish_s=None):
+    """A DONE job whose history is *decisions* (``(t, name)`` pairs)."""
+    return Job(
+        id=0, spec=JobSpec("t", JobKind.SOLVE, "g"), submit_s=submit_s,
+        state=JobState.DONE,
+        finish_s=decisions[-1][0] if finish_s is None else finish_s,
+        decisions=[{"t": t, "decision": name} for t, name in decisions],
+    )
 
 
 class TestTimelineEdges:
@@ -270,43 +279,40 @@ class TestTimelineEdges:
             job_timeline(job)
         svc.run()
         tl = job_timeline(job)
-        _assert_exact_decomposition(tl, job.artifact())
+        _assert_exact_decomposition(tl, job)
 
     def test_unknown_decision_fails_loud(self):
-        art = {
-            "id": 0, "tenant": "t", "workload": "g:solve", "state": "done",
-            "submit_s": 0.0, "finish_s": 1.0, "latency_s": 1.0,
-            "decisions": [
-                {"t": 0.0, "decision": "submit"},
-                {"t": 0.5, "decision": "teleport"},
-                {"t": 1.0, "decision": "done"},
-            ],
-        }
+        job = _done_job([(0.0, "submit"), (0.5, "teleport"), (1.0, "done")])
         with pytest.raises(ValueError, match="teleport"):
-            job_timeline(art)
+            job_timeline(job)
 
     def test_segment_validation(self):
+        backwards = _done_job([
+            (0.0, "submit"), (1.0, "admit"), (0.5, "dispatch"),
+            (2.0, "complete"), (2.0, "done"),
+        ])
         with pytest.raises(ValueError, match="backwards"):
-            Segment("x", 1.0, 0.5)
+            job_timeline(backwards)
+        # a history that ends before the job's finish time
+        short = _done_job([(0.0, "submit"), (1.0, "done")], finish_s=2.0)
+        with pytest.raises(ValueError, match="finish_s=2.0"):
+            job_timeline(short)
 
     def test_adjacent_same_phase_segments_merge(self):
-        art = {
-            "id": 1, "tenant": "t", "workload": "g:solve", "state": "done",
-            "submit_s": 0.0, "finish_s": 3.0, "latency_s": 3.0,
-            "decisions": [
-                {"t": 0.0, "decision": "submit"},
-                {"t": 1.0, "decision": "admit"},
-                {"t": 1.5, "decision": "coalesce_requeue"},  # still queued
-                {"t": 2.0, "decision": "dispatch"},
-                {"t": 3.0, "decision": "complete"},
-                {"t": 3.0, "decision": "done"},
-            ],
-        }
-        tl = job_timeline(art)
-        assert [s.phase for s in tl.segments] == [
-            "admission", "queued", "execute"
-        ]
-        _assert_exact_decomposition(tl, art)
+        job = _done_job([
+            (0.0, "submit"),
+            (1.0, "admit"),
+            (1.5, "coalesce_requeue"),  # still queued
+            (2.0, "dispatch"),
+            (3.0, "complete"),
+            (3.0, "done"),
+        ])
+        tl = job_timeline(job)
+        assert tl.segments == (
+            ("admission", 0.0, 1.0), ("queued", 1.0, 2.0),
+            ("execute", 2.0, 3.0),
+        )
+        _assert_exact_decomposition(tl, job)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ ledger completeness, per-phase attribution summing to the device total,
 roofline classification of the paper's performance claims, trace
 diffing, schema versioning, and the CLI surface."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ from repro import solve
 from repro.baselines import fb_scc, gpu_scc, ispan_scc
 from repro.core import ecl_scc, minmax_scc
 from repro.core.options import EclOptions
-from repro.device import A100, XEON_6226R, VirtualDevice
+from repro.device import A100, XEON_6226R, KernelCounters, VirtualDevice
+from repro.device.counters import COUNTER_FIELDS
 from repro.distributed import block_partition, distributed_ecl_scc
 from repro.distributed.cluster import ClusterSpec
 from repro.faults import FaultPlan
@@ -21,6 +23,7 @@ from repro.graph import random_gnm, scc_ladder
 from repro.profile import (
     CLASSIFICATIONS,
     aggregate_counters,
+    attach_ledger,
     attribute_launches,
     build_profile,
     diff_traces,
@@ -33,6 +36,7 @@ from repro.profile import (
 )
 from repro.trace import (
     SCHEMA_VERSION,
+    LaunchRecord,
     NullTracer,
     Tracer,
     dumps_jsonl,
@@ -86,6 +90,33 @@ class TestLedger:
         assert ("outer-iteration", "phase2-propagate") in paths
         kinds = {rec.kind for rec in res.trace.launches}
         assert kinds <= {"launch", "work", "serial", "round"}
+
+    def test_launch_paths_are_their_spans_paths(self):
+        """Each charge carries the path of the span it names, and a
+        charge outside every span carries ``()``."""
+        tr = Tracer()
+        device = VirtualDevice(A100)
+        attach_ledger(device, tr)
+        device.launch(vertices=8)  # before any span opens
+        with tr.span("solve"):
+            ecl_scc(scc_ladder(8), options=EclOptions(engine="adaptive"),
+                    device=device, tracer=tr)
+        trace = tr.finish()
+        spans = {s.span_id: s for s in trace.spans}
+        outside = [r for r in trace.launches if r.span_id is None]
+        inside = [r for r in trace.launches if r.span_id is not None]
+        assert [r.path for r in outside] == [()]
+        assert inside
+        for rec in inside:
+            assert rec.path == spans[rec.span_id].path
+        assert ("solve", "outer-iteration", "phase2-propagate") in \
+            {r.path for r in inside}
+
+    def test_one_counter_field_list(self):
+        assert tuple(KernelCounters().snapshot()) == COUNTER_FIELDS
+        fields = tuple(f.name for f in dataclasses.fields(LaunchRecord))
+        assert fields[:4] == ("seq", "kind", "path", "span_id")
+        assert fields[4:] == COUNTER_FIELDS
 
     def test_oracle_serial_charge_is_ledgered(self):
         g = scc_ladder(10)

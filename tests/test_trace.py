@@ -3,6 +3,7 @@ span nesting, JSONL round-trips, the NullTracer zero-overhead contract,
 and the trace-vs-EclResult count invariants."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.bench.runners import run_algorithm
 from repro.core import ecl_scc, minmax_scc
 from repro.device import A100
 from repro.distributed import block_partition, distributed_ecl_scc
+from repro.errors import IOFormatError
 from repro.graph import cycle_graph, planted_scc_graph, random_gnm, scc_ladder
 from repro.trace import (
     NULL_TRACER,
@@ -33,7 +35,6 @@ from repro.trace import (
     loads_jsonl,
     render_summary,
 )
-from repro.trace.records import SpanRecord, Trace
 from repro.trace.tracer import _NULL_SPAN
 
 
@@ -41,6 +42,28 @@ def fake_clock():
     """Deterministic clock: 0.0, 1.0, 2.0, ..."""
     counter = itertools.count()
     return lambda: float(next(counter))
+
+
+def nested_trace():
+    """Two root ``solve`` spans; the first nests spans four deep."""
+    tr = Tracer(clock=fake_clock())
+    with tr.span("solve"):
+        for i in range(2):
+            with tr.span("outer-iteration", index=i):
+                with tr.span("phase2-propagate"):
+                    with tr.span("round"):
+                        pass
+                with tr.span("phase3-filter"):
+                    pass
+    with tr.span("solve"):
+        pass
+    return tr.finish()
+
+
+def span_line(span_id, parent, name="s"):
+    """One JSONL span line."""
+    return json.dumps({"type": "span", "id": span_id, "parent": parent,
+                       "depth": 0, "name": name, "t0": 0.0, "t1": 1.0})
 
 
 class TestSpanNesting:
@@ -99,40 +122,31 @@ class TestSpanNesting:
         trace = tr.finish()
         assert trace.count_spans("inner") == 2
         assert [s.name for s in trace.roots()] == ["outer"]
-        kids = trace.children_of(trace.spans[0])
-        assert [s.name for s in kids] == ["inner", "inner"]
-        assert trace.span_path(trace.spans[1]) == ("outer", "inner")
+        assert [s.path for s in trace.spans] == [
+            ("outer",), ("outer", "inner"), ("outer", "inner"),
+        ]
 
-    def test_iter_paths_match_span_path(self):
-        """The one-pass paths equal the per-span walk, on nested and
-        sibling spans, a trace reloaded from JSONL, a span whose parent
-        is missing and one listed before its parent."""
-        tr = Tracer(clock=fake_clock())
-        with tr.span("solve"):
-            for i in range(2):
-                with tr.span("outer-iteration", index=i):
-                    with tr.span("phase2-propagate"):
-                        with tr.span("round"):
-                            pass
-                    with tr.span("phase3-filter"):
-                        pass
-        with tr.span("solve"):
-            pass
-        trace = tr.finish()
-        orphan = SpanRecord("orphan", 100, parent_id=99, depth=3, t_start=0.0)
-        late_child = SpanRecord("late-child", 101, parent_id=102, depth=1,
-                                t_start=0.0)
-        late_parent = SpanRecord("late-parent", 102, parent_id=0, depth=0,
-                                 t_start=0.0)
-        odd = Trace(spans=trace.spans + [orphan, late_child, late_parent])
-        for t in (trace, loads_jsonl(dumps_jsonl(trace)), odd):
-            got = list(t.iter_paths())
-            assert [s for _, s in got] == t.spans
-            assert [p for p, _ in got] == [t.span_path(s) for s in t.spans]
-        assert dict((s.name, p) for p, s in odd.iter_paths())["late-child"] \
-            == ("solve", "late-parent", "late-child")
+    def test_span_paths(self):
+        """A span's path is its parent's plus its name, set when the
+        span opens; the JSONL reader rebuilds it for a span whose parent
+        is missing and for one listed before its parent."""
+        trace = nested_trace()
+        by_id = {s.span_id: s for s in trace.spans}
+        for s in trace.spans:
+            parent = () if s.parent_id is None else by_id[s.parent_id].path
+            assert s.path == parent + (s.name,)
+            assert len(s.path) == s.depth + 1
         assert ("solve", "outer-iteration", "phase2-propagate", "round") in \
-            [p for p, _ in trace.iter_paths()]
+            [s.path for s in trace.spans]
+        odd = loads_jsonl("\n".join([
+            dumps_jsonl(trace),
+            span_line(100, 99, "orphan"),
+            span_line(101, 102, "late-child"),
+            span_line(102, 0, "late-parent"),
+        ]))
+        paths = {s.name: s.path for s in odd.spans}
+        assert paths["orphan"] == ("orphan",)
+        assert paths["late-child"] == ("solve", "late-parent", "late-child")
 
 
 class TestJsonlRoundTrip:
@@ -167,6 +181,12 @@ class TestJsonlRoundTrip:
             )
             assert orig.attrs == rt.attrs
 
+    def test_round_trip_restores_paths(self):
+        trace = nested_trace()
+        back = loads_jsonl(dumps_jsonl(trace))
+        assert back.spans == trace.spans
+        assert [s.path for s in back.spans] == [s.path for s in trace.spans]
+
     def test_numpy_scalars_serialize_plain(self):
         text = dumps_jsonl(self.make_trace())
         assert "np.int64" not in text and "float64" not in text
@@ -185,6 +205,34 @@ class TestJsonlRoundTrip:
         text = render_summary(self.make_trace())
         assert "outer" in text and "inner" in text
         assert "work" in text and "level" in text
+
+
+#: malformed traces, each with the line the reader must name
+MALFORMED = {
+    "parent-cycle": ([span_line(0, None), span_line(1, 0),
+                      span_line(2, 3), span_line(3, 2)], 4),
+    "self-parent": ([span_line(0, None), span_line(1, 1)], 3),
+    "not-json": (['{"type": "span", "id": 0,'], 2),
+    "span-without-name": ([json.dumps({
+        "type": "span", "id": 0, "parent": None, "depth": 0,
+        "t0": 0.0, "t1": 1.0})], 2),
+    "not-an-object": (["[1, 2, 3]"], 2),
+}
+
+
+class TestJsonlMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_reader_and_cli_raise_io_format_error(self, case, tmp_path):
+        from repro.cli import main
+
+        lines, bad_line = MALFORMED[case]
+        text = "\n".join(['{"type": "meta", "schema": 3, "meta": {}}'] + lines)
+        with pytest.raises(IOFormatError, match=f"line {bad_line}:"):
+            loads_jsonl(text)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(IOFormatError, match=f"line {bad_line}:"):
+            main(["trace", "--load", str(path)])
 
 
 class TestNullTracerOverhead:
