@@ -54,6 +54,7 @@ incremental-vs-recompute crossover.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
@@ -376,6 +377,12 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def add_vertices(self, count: int) -> np.ndarray:
         """Append *count* isolated vertices; returns their new IDs."""
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise GraphFormatError(
+                f"count must be an integer, got {count!r}"
+            ) from None
         if count < 0:
             raise GraphFormatError(f"count must be >= 0, got {count}")
         new_ids = np.arange(self._n, self._n + count, dtype=VERTEX_DTYPE)

@@ -3,7 +3,10 @@
 :class:`CSRGraph` is the central immutable graph container of the library.
 It stores out-edges in CSR form (``indptr``, ``indices``) and lazily caches
 the transpose (in-edge CSR) and the flat COO edge arrays that the
-edge-centric SCC kernels consume.
+edge-centric SCC kernels consume.  The transpose memo is one way: the
+origin keeps its transpose, the transpose keeps no reference back, so
+a graph and its transpose are freed by reference counting as soon as
+the caller drops the origin (no reference cycle for the collector).
 
 Design notes
 ------------
@@ -159,8 +162,7 @@ class CSRGraph:
     def with_name(self, name: str) -> "CSRGraph":
         """Return a shallow copy carrying *name* (shares arrays)."""
         g = CSRGraph(self.indptr, self.indices, validate=False, name=name)
-        g._transpose = self._transpose
-        g._src = self._src
+        g._transpose, g._src = self._transpose, self._src
         return g
 
     def out_degree(self) -> np.ndarray:
@@ -196,14 +198,18 @@ class CSRGraph:
         return self.edge_sources(), self.indices
 
     def transpose(self) -> "CSRGraph":
-        """Reverse graph (in-adjacency of ``self``), cached both ways."""
+        """Reverse graph (in-adjacency of ``self``), cached on ``self`` only.
+
+        The transpose holds no reference back to ``self``: transposing it
+        builds a fresh graph with ``self``'s edges rather than returning
+        ``self``.  No caller transposes a transpose, so each transpose is
+        still built once per origin.
+        """
         if self._transpose is None:
             src, dst = self.edges()
-            t = CSRGraph.from_edges(
+            self._transpose = CSRGraph.from_edges(
                 dst, src, self.num_vertices, name=self._name + ".T" if self._name else ""
             )
-            t._transpose = self
-            self._transpose = t
         return self._transpose
 
     # ------------------------------------------------------------------

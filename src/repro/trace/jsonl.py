@@ -158,14 +158,32 @@ def dump_jsonl(trace: Trace, path: "PathLike | IO[str]") -> None:
         Path(path).write_text(dumps_jsonl(trace), encoding="utf-8")
 
 
+def _text(obj: "dict[str, Any]", key: str) -> str:
+    """``obj[key]``, a field the record types as ``str``."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a JSON string, got {value!r}")
+    return value
+
+
+def _texts(obj: "dict[str, Any]", key: str) -> "tuple[str, ...]":
+    """``obj[key]`` (default empty), a list of JSON strings."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{key!r} must be a list of JSON strings, got {value!r}")
+    return tuple(value)
+
+
 def loads_jsonl(text: str) -> Trace:
     """Parse a JSONL string back into a :class:`Trace`.
 
     Files written before schema versioning (no ``schema`` field on the
     ``meta`` line, or no ``meta`` line at all) are read as schema 1.
-    Malformed files, and files declaring a *newer* schema than this
-    library understands, raise :class:`~repro.errors.IOFormatError` (a
-    ``ValueError``) naming the line instead of mis-parsing.
+    Malformed files (a missing field, or a field the record types as
+    ``str`` that is not a JSON string), and files declaring a *newer*
+    schema than this library understands, raise
+    :class:`~repro.errors.IOFormatError` (a ``ValueError``) naming the
+    line instead of mis-parsing.
     """
     trace = Trace(schema=1)
     span_lines: "list[int]" = []
@@ -190,7 +208,7 @@ def loads_jsonl(text: str) -> Trace:
             elif kind == "span":
                 trace.spans.append(
                     SpanRecord(
-                        name=obj["name"],
+                        name=_text(obj, "name"),
                         span_id=int(obj["id"]),
                         parent_id=None if obj["parent"] is None else int(obj["parent"]),
                         depth=int(obj["depth"]),
@@ -203,7 +221,7 @@ def loads_jsonl(text: str) -> Trace:
             elif kind in ("counter", "gauge"):
                 trace.events.append(
                     EventRecord(
-                        name=obj["name"],
+                        name=_text(obj, "name"),
                         kind=kind,
                         value=float(obj["value"]),
                         t=float(obj["t"]),
@@ -215,8 +233,8 @@ def loads_jsonl(text: str) -> Trace:
                 trace.launches.append(
                     LaunchRecord(
                         seq=int(obj["seq"]),
-                        kind=obj["kind"],
-                        path=tuple(obj.get("path", ())),
+                        kind=_text(obj, "kind"),
+                        path=_texts(obj, "path"),
                         span_id=None if obj.get("span") is None else int(obj["span"]),
                         **{f: int(obj.get(f, 0)) for f in COUNTER_FIELDS},
                     )
@@ -224,8 +242,8 @@ def loads_jsonl(text: str) -> Trace:
             elif kind == "sample":
                 trace.samples.append(
                     SampleRecord(
-                        series=obj["series"],
-                        kind=obj["kind"],
+                        series=_text(obj, "series"),
+                        kind=_text(obj, "kind"),
                         t=float(obj["t"]),
                         value=float(obj["value"]),
                     )
@@ -234,9 +252,9 @@ def loads_jsonl(text: str) -> Trace:
                 trace.timelines.append(
                     TimelineRecord(
                         job_id=int(obj["job"]),
-                        tenant=obj["tenant"],
-                        workload=obj["workload"],
-                        state=obj["state"],
+                        tenant=_text(obj, "tenant"),
+                        workload=_text(obj, "workload"),
+                        state=_text(obj, "state"),
                         submit_s=float(obj["submit"]),
                         finish_s=float(obj["finish"]),
                         segments=tuple(

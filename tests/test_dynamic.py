@@ -187,6 +187,18 @@ class TestDynamicGraphBasics:
             dg.labels, cold_labels([0, 1, 2, 2, 3], [1, 2, 0, 3, 0], 5)
         )
 
+    @pytest.mark.parametrize("count", [1.5, "2", None])
+    def test_add_vertices_rejects_non_integer_count(self, count):
+        dg = DynamicGraph(cycle_graph(3))
+        with pytest.raises(GraphFormatError, match="must be an integer"):
+            dg.add_vertices(count)
+        assert dg.num_vertices == 3 and dg.labels.size == 3
+
+    def test_add_vertices_numpy_count(self):
+        dg = DynamicGraph(cycle_graph(3))
+        assert list(dg.add_vertices(np.int64(2))) == [3, 4]
+        assert type(dg.num_vertices) is int and dg.num_vertices == 5
+
     def test_graph_snapshot_is_current(self):
         dg = DynamicGraph(path_graph(3))
         dg.insert_edges([2], [0])

@@ -1,5 +1,7 @@
 """Unit tests for repro.graph.csr.CSRGraph."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -92,9 +94,21 @@ class TestDerivedForms:
         assert t.neighbors(1).tolist() == [0]
         assert t.neighbors(2).tolist() == [1]
 
-    def test_transpose_cached_both_ways(self):
-        g = CSRGraph.from_edges([0], [1])
-        assert g.transpose().transpose() is g
+    def test_transpose_cached_one_way(self):
+        g = CSRGraph.from_edges([0, 0, 1], [1, 2, 2])
+        assert g.transpose() is g.transpose()
+        assert g.transpose().transpose().same_structure(g)
+        # The transpose keeps no reference back to its origin, so
+        # dropping both leaves nothing for the cycle collector.
+        gc.collect()
+        gc.disable()
+        try:
+            h = CSRGraph.from_edges([0, 1], [1, 0])
+            h.transpose()
+            del h
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_degrees(self):
         g = CSRGraph.from_edges([0, 0, 1], [1, 2, 2])

@@ -217,7 +217,36 @@ MALFORMED = {
         "type": "span", "id": 0, "parent": None, "depth": 0,
         "t0": 0.0, "t1": 1.0})], 2),
     "not-an-object": (["[1, 2, 3]"], 2),
+    "span-name-not-string": ([span_line(0, None, name=5)], 2),
 }
+
+#: one well-formed line per record type
+WELL_FORMED = {
+    "span": json.loads(span_line(0, None)),
+    "counter": {"type": "counter", "name": "c", "value": 1.0, "t": 0.0,
+                "span": None, "attrs": {}},
+    "launch": {"type": "launch", "seq": 0, "kind": "launch",
+               "path": ["solve"], "span": None},
+    "sample": {"type": "sample", "series": "queue", "kind": "gauge",
+               "t": 0.0, "value": 1.0},
+    "timeline": {"type": "timeline", "job": 0, "tenant": "t",
+                 "workload": "solve", "state": "done", "submit": 0.0,
+                 "finish": 1.0, "segments": []},
+}
+
+#: (record type, field, non-string value) for every field the records
+#: type ``str``; the launch path is a list of names
+STRING_FIELDS = [
+    ("span", "name", 5),
+    ("counter", "name", 5),
+    ("launch", "kind", None),
+    ("launch", "path", ["solve", 5]),
+    ("sample", "series", 1.5),
+    ("sample", "kind", ["gauge"]),
+    ("timeline", "tenant", 0),
+    ("timeline", "workload", {"solve": 1}),
+    ("timeline", "state", True),
+]
 
 
 class TestJsonlMalformed:
@@ -233,6 +262,18 @@ class TestJsonlMalformed:
         path.write_text(text)
         with pytest.raises(IOFormatError, match=f"line {bad_line}:"):
             main(["trace", "--load", str(path)])
+
+    @pytest.mark.parametrize(
+        "record,field,value", STRING_FIELDS,
+        ids=[f"{r}-{f}" for r, f, _ in STRING_FIELDS],
+    )
+    def test_reader_rejects_non_string_field(self, record, field, value):
+        meta = '{"type": "meta", "schema": 3, "meta": {}}'
+        line = WELL_FORMED[record]
+        loads_jsonl("\n".join([meta, json.dumps(line)]))
+        bad = json.dumps({**line, field: value})
+        with pytest.raises(IOFormatError, match=f"line 2: '{field}' must be"):
+            loads_jsonl("\n".join([meta, bad]))
 
 
 class TestNullTracerOverhead:
