@@ -18,6 +18,8 @@ from repro.core import (
     EclOptions,
     EdgeGrouping,
     Signatures,
+    VertexFrontier,
+    frontier_round,
     phase3_filter,
     propagate_async,
     propagate_frontier,
@@ -25,7 +27,7 @@ from repro.core import (
 from repro.device import A100, VirtualDevice
 from repro.dynamic import DynamicGraph, generate_edge_log
 from repro.dynamic.replay import _net_effect
-from repro.engine import FRONTIER, AdaptiveScheduler, RoundState, get_backend
+from repro.engine import AdaptiveScheduler, get_backend
 from repro.engine.relax import push
 from repro.graph import CSRGraph, rmat_graph
 from repro.mesh import beam_hex, build_sweep_graph, ordinates_3d
@@ -85,26 +87,20 @@ def sweep_graph():
 
 @pytest.mark.parametrize("width", ["full", "one-vertex"])
 def test_frontier_round(benchmark, sweep_graph, width):
-    """One frontier-policy round from identity signatures.  The round
+    """One frontier round from identity signatures.  The round
     scans every worklist edge for the frontier's, so a one-vertex
     frontier still costs O(m) host work; both ends are timed."""
     src, dst = sweep_graph.edges()
     n = sweep_graph.num_vertices
     grouping = EdgeGrouping.build(src, dst)
-    mask = np.zeros(n, dtype=bool)
-    if width == "full":
-        mask[:] = True
-    else:
-        mask[src[0]] = True
-    frontier = np.flatnonzero(mask)
+    seed = np.arange(n) if width == "full" else src[:1]
+    frontier = VertexFrontier.seeded(seed, n)
 
     def run_round():
-        state = RoundState(
-            sigs=Signatures.identity(n), grouping=grouping,
-            frontier=frontier, frontier_mask=mask, num_vertices=n,
-            compress=True,
+        return frontier_round(
+            Signatures.identity(n), grouping, frontier, VirtualDevice(A100),
+            n, True,
         )
-        return FRONTIER.run_round(state, VirtualDevice(A100))
 
     assert benchmark(run_round).any()
 
@@ -169,9 +165,7 @@ def test_async_drain(benchmark, sweep_graph, opts, expected):
     once the active front is narrow."""
     src, dst = sweep_graph.edges()
     n = sweep_graph.num_vertices
-    bounds = VirtualDevice(A100).partition_edges(
-        src.size, persistent=False, block_edges=64
-    )
+    bounds = np.linspace(0, src.size, -(-src.size // 64) + 1).astype(np.int64)
     partition = BlockPartition.build(src, dst, bounds)
 
     def drain():

@@ -36,20 +36,14 @@ def fb_scc(
     graph: CSRGraph,
     *,
     device: "VirtualDevice | DeviceSpec | None" = None,
-    pivot: str = "max",
     backend: "ArrayBackend | str | None" = None,
     tracer: "Tracer | None" = None,
 ) -> AlgoResult:
     """Forward-Backward SCC decomposition.
 
-    Parameters
-    ----------
-    pivot:
-        ``"max"`` — highest vertex ID in the task (deterministic, and
-        labels come out max-normalized for free); ``"first"`` — lowest.
-
-    Returns an :class:`~repro.results.AlgoResult` with max-member-ID
-    labels.
+    The pivot is the task's highest vertex ID (deterministic, and labels
+    come out max-normalized for free).  Returns an
+    :class:`~repro.results.AlgoResult` with max-member-ID labels.
     """
     be = get_backend(backend)
     device, tr = instrument(device, RYZEN_2950X, tracer)
@@ -64,7 +58,6 @@ def fb_scc(
     # task — the textbook formulation, not the coloring one
     queue: "list[np.ndarray]" = [np.arange(n, dtype=VERTEX_DTYPE)]
     mask = np.zeros(n, dtype=bool)
-    strategy = "max-id" if pivot == "max" else "min-id"
     while queue:
         task = queue.pop()
         if task.size == 0:
@@ -76,7 +69,7 @@ def fb_scc(
             mask[:] = False
             mask[task] = True
             p = select_pivot(
-                graph, mask, device, strategy=strategy, charge="none"
+                graph, mask, device, strategy="max-id", charge="none"
             )
             fwd, _ = forward_reach(
                 graph, np.asarray([p]), mask, device, backend=be, tracer=tr

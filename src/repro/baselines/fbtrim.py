@@ -25,11 +25,10 @@ def fbtrim_scc(
     graph: CSRGraph,
     *,
     device: "VirtualDevice | DeviceSpec | None" = None,
-    use_trim2: bool = True,
     backend: "ArrayBackend | str | None" = None,
     tracer: "Tracer | None" = None,
 ) -> AlgoResult:
-    """Trim-1 (+ optional Trim-2), then coloring-FB on the remainder.
+    """Trim-1 and Trim-2, then coloring-FB on the remainder.
 
     Returns an :class:`~repro.results.AlgoResult`."""
     be = get_backend(backend)
@@ -44,9 +43,8 @@ def fbtrim_scc(
         )
     with tr.span("trim"):
         trim1(graph, active, labels, device, backend=be, tracer=tr)
-        if use_trim2:
-            while trim2(graph, active, labels, device, backend=be, tracer=tr):
-                trim1(graph, active, labels, device, backend=be, tracer=tr)
+        while trim2(graph, active, labels, device, backend=be, tracer=tr):
+            trim1(graph, active, labels, device, backend=be, tracer=tr)
     with tr.span("coloring-fb", remaining=int(active.sum())):
         if active.any():
             colored_fb_rounds(

@@ -3,7 +3,7 @@
 One of the fastest shared-memory SCC frameworks before iSpan, and part
 of the prior-work lineage the paper positions against.  The recipe:
 
-1. **Trim**: iterated Trim-1 (optionally Trim-2);
+1. **Trim**: iterated Trim-1, one Trim-2;
 2. **FW-BW**: a single forward/backward reach from a high-degree pivot
    detects the giant SCC of power-law inputs;
 3. **Coloring**: the remainder — many small SCCs — is finished with the
@@ -43,7 +43,6 @@ def multistep_scc(
     graph: CSRGraph,
     *,
     device: "VirtualDevice | DeviceSpec | None" = None,
-    use_trim2: bool = True,
     backend: "ArrayBackend | str | None" = None,
     tracer: "Tracer | None" = None,
 ) -> AlgoResult:
@@ -63,7 +62,7 @@ def multistep_scc(
     # step 1: trim
     with tr.span("step1-trim"):
         trim1(graph, active, labels, device, backend=be, tracer=tr)
-        if use_trim2 and active.any():
+        if active.any():
             if trim2(graph, active, labels, device, backend=be, tracer=tr):
                 trim1(graph, active, labels, device, backend=be, tracer=tr)
 

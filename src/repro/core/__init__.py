@@ -18,6 +18,8 @@ from .signatures import Signatures
 from .propagation import (
     BlockPartition,
     EdgeGrouping,
+    dense_round,
+    frontier_round,
     propagate_async,
     propagate_frontier,
     propagate_sync,
@@ -36,6 +38,8 @@ __all__ = [
     "Signatures",
     "BlockPartition",
     "EdgeGrouping",
+    "dense_round",
+    "frontier_round",
     "propagate_async",
     "propagate_frontier",
     "propagate_sync",

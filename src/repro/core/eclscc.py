@@ -359,11 +359,7 @@ def ecl_scc(
                             )
                     elif engine == "async":
                         bounds = device.partition_edges(
-                            wl.num_edges,
-                            persistent=opts.persistent_threads,
-                            block_edges=None
-                            if opts.persistent_threads
-                            else opts.block_edges,
+                            wl.num_edges, persistent=opts.persistent_threads
                         )
                         partition = BlockPartition.build(wl.src, wl.dst, bounds)
 

@@ -70,9 +70,6 @@ class EclOptions:
         each block owns a large contiguous edge chunk (multiple edges per
         thread).  Interacts with ``async_phase2``: larger chunks converge
         further per launch but keep processing already-converged edges.
-    block_edges:
-        edge-chunk size per block when ``persistent_threads`` is False
-        (one edge per thread x 512 threads).  Exposed for tests.
     max_outer_iterations:
         safety bound on Algorithm 1's outer loop; the theoretical maximum
         is |V| (each iteration finishes >= 1 SCC).  Exceeding it raises
@@ -100,8 +97,8 @@ class EclOptions:
         of re-relaxing every surviving edge to quiescence.
         ``"adaptive"`` keeps the frontier engine's drain structure but
         lets an :class:`~repro.engine.scheduler.AdaptiveScheduler` pick
-        the propagation policy (dense sweep vs. frontier worklist,
-        :mod:`repro.engine.policy`) *per round* from frontier
+        the round shape (dense sweep vs. frontier round,
+        :mod:`repro.core.propagation`) *per round* from frontier
         density, average frontier degree, and the running
         launch-overhead/bandwidth ratio.
     """
@@ -111,15 +108,12 @@ class EclOptions:
     path_compression: bool = True
     persistent_threads: bool = True
     engine: str = ""
-    block_edges: int = 512
     max_outer_iterations: int = 0  # 0 = auto (|V| + 2)
     max_rounds: int = 0  # 0 = auto (3|V| + 16, see docstring)
 
     def __post_init__(self) -> None:
         if self.engine:
             validate_engine(self.engine)
-        if self.block_edges < 1:
-            raise AlgorithmError(f"block_edges must be >= 1, got {self.block_edges}")
         if self.max_outer_iterations < 0 or self.max_rounds < 0:
             raise AlgorithmError("iteration bounds must be >= 0 (0 = auto)")
 

@@ -20,15 +20,28 @@ The engines implement the modelled kernel organizations:
   reads the frontier vertices' edge buckets); the host finds the same
   edges with one topology-driven scan of the worklist, which costs
   fewer NumPy calls on narrow rounds.  The ``frontier`` engine runs every
-  round as the ``frontier`` policy
-  (:data:`~repro.engine.policy.FRONTIER`); the ``adaptive``
-  engine passes an :class:`~repro.engine.scheduler.AdaptiveScheduler`
-  that picks each round's
-  :class:`~repro.engine.policy.PropagationPolicy` from frontier
-  density, average frontier degree, and the running
+  round as :func:`frontier_round`; the ``adaptive`` engine passes an
+  :class:`~repro.engine.scheduler.AdaptiveScheduler` that picks each
+  round's shape, :func:`dense_round` or :func:`frontier_round`, from
+  frontier density, average frontier degree, and the running
   launch-overhead/bandwidth ratio.  One drain serves both, so the static
   engine and the adaptive engine's frontier rounds can never diverge in
   labels or charges.
+
+The two round shapes differ in *coverage*, the edges a round relaxes:
+:func:`dense_round` relaxes every worklist edge (the sync engine's
+round) and :func:`frontier_round` only the edges incident to the current
+frontier.  How one edge is relaxed is the same for both: each selects
+its edges, calls one round body of :mod:`repro.engine.relax`
+(``full_round`` or ``push_round``) and charges the device.
+
+Correctness of mixing round shapes: every shape performs a monotone
+step of the same max-propagation join semilattice, a round that changes
+nothing certifies that no plain relaxation can make progress (edges not
+incident to a changed vertex relax to values they already hold), and a
+monotone iteration's fixed point is schedule-independent — so any
+per-round sequence of shapes converges to the *same* signatures, and
+labels stay bit-identical to the dense engines.
 
 All engines converge to the same unique fixed point: max-propagation is
 monotone, every engine terminates only when no plain relaxation can make
@@ -54,12 +67,14 @@ import numpy as np
 
 from ..device.executor import VirtualDevice
 from ..engine.accounting import (
+    charge_dense_round,
     charge_frontier_compaction,
     charge_frontier_launch,
+    charge_frontier_round,
     charge_relaxation_round,
 )
 from ..engine.backend import ArrayBackend
-from ..engine.policy import FRONTIER, RoundState
+from ..engine.primitives import incident_edges
 from ..engine.relax import full_round, push_round
 from ..engine.scheduler import AdaptiveScheduler
 from ..errors import ConvergenceError
@@ -75,6 +90,8 @@ __all__ = [
     "propagate_sync",
     "propagate_async",
     "propagate_frontier",
+    "dense_round",
+    "frontier_round",
 ]
 
 
@@ -300,6 +317,60 @@ def propagate_async(
             return launches, total_rounds
 
 
+def dense_round(
+    sigs: Signatures,
+    grouping: EdgeGrouping,
+    frontier: VertexFrontier,
+    dev: VirtualDevice,
+    num_vertices: int,
+    compress: bool,
+) -> np.ndarray:
+    """One dense round of the drain: relax every worklist edge.
+
+    Charged as in-kernel work of the persistent drain
+    (:func:`~repro.engine.accounting.charge_dense_round`).  Returns the
+    changed-vertex mask.  *frontier* is unused: it keeps the one
+    signature the drain calls both round shapes with.
+    """
+    changed_v, compress_work = full_round(
+        sigs, grouping.src, grouping.dst, grouping.touched, num_vertices,
+        compress=compress,
+    )
+    charge_dense_round(
+        dev, edges=grouping.num_edges, vertices=compress_work,
+        enqueues=int(np.count_nonzero(changed_v)),
+    )
+    return changed_v
+
+
+def frontier_round(
+    sigs: Signatures,
+    grouping: EdgeGrouping,
+    frontier: VertexFrontier,
+    dev: VirtualDevice,
+    num_vertices: int,
+    compress: bool,
+) -> np.ndarray:
+    """One frontier round of the drain: relax the frontier-incident edges.
+
+    The edges come from one scan over the worklist
+    (:func:`~repro.engine.primitives.incident_edges`) and are charged as
+    the modelled kernel's bucket reads
+    (:func:`~repro.engine.accounting.charge_frontier_round`).  Returns
+    the changed-vertex mask.
+    """
+    idx = incident_edges(frontier.mask, grouping.src, grouping.dst)
+    changed_v, compress_work = push_round(
+        sigs, grouping.src[idx], grouping.dst[idx], num_vertices,
+        compress=compress,
+    )
+    charge_frontier_round(
+        dev, edges=idx.size, frontier_size=frontier.size,
+        vertices=compress_work, enqueues=int(np.count_nonzero(changed_v)),
+    )
+    return changed_v
+
+
 def propagate_frontier(
     sigs: Signatures,
     grouping: EdgeGrouping,
@@ -318,9 +389,10 @@ def propagate_frontier(
     """Frontier Phase 2: persistent vertex worklist seeded by *seed*.
 
     Returns ``(launches, rounds)``.  This one drain serves both the
-    ``frontier`` engine (no *scheduler*: every round runs the
-    ``frontier`` policy) and the ``adaptive`` engine (the *scheduler*
-    picks each round's policy).
+    ``frontier`` engine (no *scheduler*: every round is a
+    :func:`frontier_round`) and the ``adaptive`` engine (the *scheduler*
+    picks each round's shape, :func:`dense_round` or
+    :func:`frontier_round`).
 
     Model: one kernel compacts the invalidation flags into a vertex
     worklist (one atomic slot claim per seed vertex), then a single
@@ -340,10 +412,10 @@ def propagate_frontier(
     point — labels are bit-identical to the dense engines.  ``seed``
     must contain every vertex whose signature differs from its dense
     re-initialized state (the driver passes the invalidated set:
-    unfinished vertices plus removed-edge endpoints).  Every policy is a
-    monotone step of the same semilattice that returns the exact
-    changed-vertex set, so a scheduler mixing dense and frontier rounds
-    keeps that invariant and reaches the same fixed point.
+    unfinished vertices plus removed-edge endpoints).  Both round
+    shapes are monotone steps of the same semilattice that return the
+    exact changed-vertex set, so a scheduler mixing dense and frontier
+    rounds keeps that invariant and reaches the same fixed point.
 
     Accounting: the seed compaction is one backend-swept launch, fused
     with the driver's partial Phase-1 re-init (``reinit`` invalidated
@@ -355,7 +427,7 @@ def propagate_frontier(
     this is what makes the engine win on launch-dominated mesh graphs.
     A dense round picked by the scheduler is in-kernel work of the same
     drain (:func:`~repro.engine.accounting.charge_dense_round`), so the
-    launch count does not depend on the policy mix.
+    launch count does not depend on the mix of round shapes.
 
     Host work: a round finds its edges with one scan over the worklist
     (:func:`~repro.engine.primitives.incident_edges`), the same set the
@@ -366,7 +438,7 @@ def propagate_frontier(
     ``note_launches`` (the latency side of its ratio) and per-round
     counter deltas via ``account_round`` (the bandwidth side), both
     backend-invariant.  With ``recovery=True`` (re-propagation after a
-    fault) the scheduler forces the ``frontier`` policy, skips the
+    fault) the scheduler forces the frontier shape, skips the
     density scan, and its tallies are left untouched, so a fault plan
     cannot perturb the main rounds' decision sequence.
     """
@@ -395,23 +467,15 @@ def propagate_frontier(
         degree = np.bincount(grouping.src, minlength=num_vertices)
         degree += np.bincount(grouping.dst, minlength=num_vertices)
     rounds = 0
-    policy = FRONTIER
-    state = RoundState(
-        sigs=sigs,
-        grouping=grouping,
-        frontier=frontier.vertices,
-        frontier_mask=frontier.mask,
-        num_vertices=num_vertices,
-        compress=opts.path_compression,
-    )
+    compress = opts.path_compression
     while frontier.size:
         rounds += 1
         _bounds_check(rounds, bound, "propagate_frontier", sigs)
-        state.frontier = frontier.vertices
-        state.frontier_mask = frontier.mask
         if scheduler is None:
             tracer.counter("relaxation-round", engine="frontier")
-            changed_v = policy.run_round(state, dev)
+            changed_v = frontier_round(
+                sigs, grouping, frontier, dev, num_vertices, compress
+            )
         else:
             policy = scheduler.decide(
                 dev,
@@ -420,14 +484,17 @@ def propagate_frontier(
                 worklist_edges=grouping.num_edges,
                 touched=grouping.touched.size,
                 num_vertices=num_vertices,
-                compress=opts.path_compression,
+                compress=compress,
                 outer=outer,
                 round_no=rounds,
                 recovery=recovery,
             )
-            tracer.counter("relaxation-round", engine="adaptive", policy=policy.name)
+            tracer.counter("relaxation-round", engine="adaptive", policy=policy)
+            run_round = dense_round if policy == "dense" else frontier_round
             before = dev.counters.snapshot()
-            changed_v = policy.run_round(state, dev)
+            changed_v = run_round(
+                sigs, grouping, frontier, dev, num_vertices, compress
+            )
             if tally:
                 scheduler.account_round(before, dev.counters.snapshot())
         frontier.advance(changed_v)

@@ -67,30 +67,21 @@ class VirtualDevice:
         """Blocks needed at one thread per work item."""
         return max(1, -(-int(work_items) // THREADS_PER_BLOCK))
 
-    def partition_edges(
-        self,
-        num_edges: int,
-        *,
-        persistent: bool,
-        block_edges: "int | None" = None,
-    ) -> np.ndarray:
+    def partition_edges(self, num_edges: int, *, persistent: bool) -> np.ndarray:
         """Block boundaries for distributing ``num_edges`` across blocks.
 
         Returns an ``indptr``-style array of length ``blocks+1``.  In
         persistent mode each resident block receives a contiguous chunk
-        (multiple edges per thread); otherwise each block gets exactly
-        ``block_edges`` edges (default: one edge per thread, i.e. 512).
+        (multiple edges per thread); otherwise each block gets one edge
+        per thread, i.e. ``THREADS_PER_BLOCK`` edges.
         Used by the asynchronous Phase-2 simulation, where a block
         iterates its own chunk to a local fixed point.
         """
         if num_edges <= 0:
             return np.zeros(1, dtype=np.int64)
+        blocks = self.blocks_for(num_edges)
         if persistent:
-            blocks = min(self.grid_blocks(persistent=True), self.blocks_for(num_edges))
-        elif block_edges is not None:
-            blocks = max(1, -(-num_edges // block_edges))
-        else:
-            blocks = self.blocks_for(num_edges)
+            blocks = min(self.grid_blocks(persistent=True), blocks)
         bounds = np.linspace(0, num_edges, blocks + 1).astype(np.int64)
         return bounds
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import get_backend
-from ..engine.primitives import frontier_expand
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
 from ..results import count_sccs
@@ -42,10 +40,9 @@ def _bsp_reach(
     visited[sources] = True
     frontier = np.unique(sources)
     levels = 0
-    be = get_backend(None)
     while frontier.size:
         levels += 1
-        nxt, counts = be.expand_with_counts(graph, frontier)
+        nxt, counts = graph.successors(frontier)
         expander_ops = np.bincount(
             owner[frontier], weights=counts.astype(np.float64), minlength=r
         ) * cluster.spec.ops_per_edge
@@ -102,8 +99,8 @@ def distributed_fbtrim(
         labels[frontier] = frontier
         active[frontier] = False
         # decrements along the removed vertices' edges
-        fwd = frontier_expand(graph, frontier)
-        bwd = frontier_expand(gt, frontier)
+        fwd, _ = graph.successors(frontier)
+        bwd, _ = gt.successors(frontier)
         np.subtract.at(in_deg, fwd, 1)
         np.subtract.at(out_deg, bwd, 1)
         ops = np.bincount(owner, minlength=r).astype(np.float64)  # flag scan

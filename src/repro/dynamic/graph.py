@@ -54,7 +54,6 @@ incremental-vs-recompute crossover.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
@@ -79,7 +78,7 @@ from ..engine.accounting import (
 )
 from ..errors import GraphFormatError, GraphValidationError
 from ..faults.plan import FaultPlan
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, vertex_count
 from ..profile.ledger import instrument
 from ..results import AlgoResult, count_sccs
 from ..trace import Tracer
@@ -377,14 +376,7 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def add_vertices(self, count: int) -> np.ndarray:
         """Append *count* isolated vertices; returns their new IDs."""
-        try:
-            count = operator.index(count)
-        except TypeError:
-            raise GraphFormatError(
-                f"count must be an integer, got {count!r}"
-            ) from None
-        if count < 0:
-            raise GraphFormatError(f"count must be >= 0, got {count}")
+        count = vertex_count(count, "count")
         new_ids = np.arange(self._n, self._n + count, dtype=VERTEX_DTYPE)
         if count:
             # an isolated vertex is its own SCC labelled by itself
@@ -752,9 +744,7 @@ class DynamicGraph:
         new_id[cluster] = np.arange(cluster.size, dtype=VERTEX_DTYPE)
         # gather the cluster's adjacency (charge: cluster volume, the
         # DAG edges inspected — never the full DAG edge list)
-        indptr, indices = lifted.indptr, lifted.indices
-        degrees = indptr[cluster + 1] - indptr[cluster]
-        heads = _gather_neighbors(indptr, indices, cluster)
+        heads, degrees = lifted.successors(cluster)
         tails = np.repeat(cluster, degrees)
         keep = affected[heads]
         charge_degree_pass(self._device, edges=int(heads.size))
@@ -866,16 +856,3 @@ class DynamicGraph:
         self._cond = None  # components split: the mapping itself changed
         split = int(res.num_sccs) - int(affected_components)
         return max(split, 0), changed, int(ids.size), int(sub.num_edges)
-
-
-def _gather_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """All out-neighbors of *frontier* (with multiplicity)."""
-    starts = indptr[frontier]
-    degrees = indptr[frontier + 1] - starts
-    total = int(degrees.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    offsets = np.repeat(starts, degrees) + ragged_arange(degrees)
-    return indices[offsets]

@@ -9,15 +9,15 @@ decides how the modelled kernels sweep vertex state (topology-driven
 ``"dense"`` vs worklist-driven ``"frontier"``).  Labels never depend on the backend —
 only the accounting does.
 
-The Phase-2 round step is a choice too: a
-:class:`~repro.engine.policy.PropagationPolicy` (the dense sweep or the
-frontier worklist) performs one relaxation round, and the
-:class:`~repro.engine.scheduler.AdaptiveScheduler` picks the policy per
-round for the ``adaptive`` engine.  Labels never depend on the policy
-sequence either — monotone max-propagation has a schedule-independent
-fixed point.  Every Phase-2 engine and policy runs its rounds through
-the one copy of each relaxation body (scatter-max push, path
-compression) in :mod:`repro.engine.relax`.
+The Phase-2 round shape is a choice too: the
+:class:`~repro.engine.scheduler.AdaptiveScheduler` picks a dense sweep or
+a frontier round per round for the ``adaptive`` engine (the two round
+functions live beside the drain that calls them,
+:mod:`repro.core.propagation`).  Labels never depend on the sequence of
+shapes either — monotone max-propagation has a schedule-independent
+fixed point.  Every Phase-2 engine runs its rounds through the one copy
+of each relaxation body (scatter-max push, path compression) in
+:mod:`repro.engine.relax`.
 """
 
 from .accounting import (
@@ -48,15 +48,6 @@ from .backend import (
     backend_names,
     get_backend,
 )
-from .policy import (
-    DENSE,
-    FRONTIER,
-    DensePolicy,
-    FrontierPolicy,
-    PropagationPolicy,
-    RoundState,
-    RoundStats,
-)
 from .primitives import (
     active_degrees,
     backward_reach,
@@ -64,7 +55,6 @@ from .primitives import (
     colored_fb_rounds,
     colored_reach,
     forward_reach,
-    frontier_expand,
     masked_bfs,
     normalize_labels_to_max,
     pivot_fb_step,
@@ -79,6 +69,9 @@ from .scheduler import (
     LAUNCH_BOUND_RATIO,
     AdaptiveScheduler,
     PolicyDecision,
+    RoundStats,
+    dense_round_cost,
+    frontier_round_cost,
 )
 
 __all__ = [
@@ -108,20 +101,15 @@ __all__ = [
     "charge_frontier_round",
     "charge_dense_round",
     "charge_scheduler_scan",
-    # policies + scheduler
-    "PropagationPolicy",
-    "RoundState",
-    "RoundStats",
-    "DensePolicy",
-    "FrontierPolicy",
-    "DENSE",
-    "FRONTIER",
+    # scheduler
     "AdaptiveScheduler",
     "PolicyDecision",
+    "RoundStats",
+    "dense_round_cost",
+    "frontier_round_cost",
     "DENSITY_THRESHOLD",
     "LAUNCH_BOUND_RATIO",
     # primitives
-    "frontier_expand",
     "masked_bfs",
     "forward_reach",
     "backward_reach",

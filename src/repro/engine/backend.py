@@ -26,11 +26,7 @@ choices are :func:`backend_names`:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import AlgorithmError
-from ..graph.csr import CSRGraph
-from ..types import VERTEX_DTYPE
 
 __all__ = [
     "ArrayBackend",
@@ -45,43 +41,17 @@ __all__ = [
 class ArrayBackend:
     """Interface every engine backend implements.
 
-    A backend answers two questions for the primitive layer:
-
-    * how to *expand* a frontier over a CSR graph (the gather shared by
-      every reachability/trim primitive), and
-    * how wide a vertex-state sweep a level/round kernel performs
-      (:meth:`sweep_vertices`), which is what distinguishes
-      topology-driven from worklist-driven kernel organizations.
+    A backend answers one question for the primitive layer: how wide a
+    vertex-state sweep a level/round kernel performs
+    (:meth:`sweep_vertices`), which is what distinguishes
+    topology-driven from worklist-driven kernel organizations.  The CSR
+    gather every reachability/trim primitive expands a frontier with is
+    shared by both backends (:meth:`~repro.graph.csr.CSRGraph.successors`)
+    — what differs between them is the accounting, not the arithmetic.
     """
 
     #: table key; subclasses must override.
     name = ""
-
-    # ------------------------------------------------------------------
-    def expand(self, graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-        """All out-neighbours of *frontier* (duplicates preserved)."""
-        nxt, _ = self.expand_with_counts(graph, frontier)
-        return nxt
-
-    def expand_with_counts(
-        self, graph: CSRGraph, frontier: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Frontier expansion returning ``(neighbours, counts)``.
-
-        ``counts[i]`` is the out-degree of ``frontier[i]``; callers that
-        need per-source attribution (colors, owners) ``np.repeat`` over
-        it.  The vectorized CSR gather is shared by both backends — what
-        differs between them is the accounting, not the arithmetic.
-        """
-        indptr, indices = graph.indptr, graph.indices
-        counts = indptr[frontier + 1] - indptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE), counts
-        offsets = np.repeat(indptr[frontier], counts)
-        ids = np.arange(total, dtype=VERTEX_DTYPE)
-        resets = np.repeat(np.cumsum(counts) - counts, counts)
-        return indices[offsets + (ids - resets)], counts
 
     def sweep_vertices(self, total_vertices: int, worklist_size: int) -> int:
         """Vertex work items one level/round kernel processes.

@@ -46,7 +46,6 @@ from . import accounting as acct
 from .backend import ArrayBackend, get_backend
 
 __all__ = [
-    "frontier_expand",
     "masked_bfs",
     "forward_reach",
     "backward_reach",
@@ -89,11 +88,6 @@ def normalize_labels_to_max(labels: np.ndarray) -> np.ndarray:
 # frontier reachability
 # ---------------------------------------------------------------------------
 
-def frontier_expand(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """All out-neighbours of *frontier* (with duplicates)."""
-    return get_backend(None).expand(graph, frontier)
-
-
 def masked_bfs(
     graph: CSRGraph,
     sources: np.ndarray,
@@ -121,7 +115,7 @@ def masked_bfs(
     with tracer.span("primitive:reach", sources=int(sources.size)) as sp:
         while frontier.size:
             levels += 1
-            nxt = be.expand(graph, frontier)
+            nxt, _ = graph.successors(frontier)
             # topology- or worklist-driven level kernel: scan the status
             # flags the backend sweeps, then expand the frontier's
             # adjacency (Barnat/Li formulation under the dense backend)
@@ -188,8 +182,8 @@ def select_pivot(
 
     * ``"max-degree"`` — highest total (in+out) degree, the hub pivot
       every giant-SCC phase uses;
-    * ``"max-id"`` / ``"min-id"`` — extremal active vertex ID (the
-      textbook FB pivots; max-ID makes labels max-normalized for free).
+    * ``"max-id"`` — highest active vertex ID (the textbook FB pivot;
+      it makes labels max-normalized for free).
 
     ``charge`` names the device formulation: ``"serial"`` models a
     host-side scan (CPU codes), ``"atomic"`` a winning-concurrent-write
@@ -200,11 +194,11 @@ def select_pivot(
         deg = graph.out_degree() + graph.in_degree()
         deg = np.where(active, deg, -1)
         pivot = int(np.argmax(deg))
-    elif strategy in ("max-id", "min-id"):
+    elif strategy == "max-id":
         act = np.flatnonzero(active)
         if act.size == 0:
             raise ConvergenceError("select_pivot called with no active vertices")
-        pivot = int(act.max() if strategy == "max-id" else act.min())
+        pivot = int(act.max())
     else:
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     if charge == "serial":
@@ -373,7 +367,7 @@ def colored_reach(
     visited[pivots] = True
     frontier = np.unique(pivots)
     while frontier.size:
-        nxt, counts = be.expand_with_counts(graph, frontier)
+        nxt, counts = graph.successors(frontier)
         acct.charge_frontier_level(
             dev,
             be,
@@ -448,8 +442,8 @@ def trim1(
             active[frontier] = False
             removed_total += frontier.size
             # decrement neighbour degrees along the removed vertices' edges
-            fwd = be.expand(graph, frontier)
-            bwd = be.expand(gt, frontier)
+            fwd, _ = graph.successors(frontier)
+            bwd, _ = gt.successors(frontier)
             np.subtract.at(in_deg, fwd, 1)
             np.subtract.at(out_deg, bwd, 1)
             # per-round kernel: scan the swept vertex flags + the decrements

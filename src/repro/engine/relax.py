@@ -28,7 +28,7 @@ The two round shapes differ only in their compression, which is what
 distinguishes the modelled kernels: :func:`push_round` compresses the
 relaxed endpoints (frontier and adaptive frontier rounds, async narrow
 rounds), :func:`full_round` pointer-doubles every vertex and feeds back
-over the worklist's endpoints (sync rounds, the ``dense`` policy, async
+over the worklist's endpoints (sync rounds, adaptive dense rounds, async
 full-width rounds).  Atomic is :func:`push` over every edge + full
 compression; the minmax variant pushes a max pair and a negated min
 pair without compression; the distributed BSP round is :func:`push`,

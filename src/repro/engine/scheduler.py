@@ -1,38 +1,38 @@
-"""Adaptive per-round policy selection for the ``adaptive`` engine.
+"""Adaptive per-round selection of the Phase-2 round shape.
 
 The :class:`AdaptiveScheduler` closes the loop the profiling layer
 (:mod:`repro.profile`) opened: the same cost-model arithmetic that
 attributes seconds to finished launches is used *prospectively* to pick
-the next round's :class:`~repro.engine.policy.PropagationPolicy`.  Each
-round it
+the next round's shape, ``"dense"`` or ``"frontier"``
+(:func:`~repro.core.propagation.dense_round` or
+:func:`~repro.core.propagation.frontier_round`).  Each round it
 
 1. pays for a density scan (one incidence-degree gather over the
    frontier, :func:`~repro.engine.accounting.charge_scheduler_scan` — the
    decision itself is device-accounted work, not free), unless the run
    has become launch-overhead-bound, in which case the scan is skipped
-   and the frontier policy is locked in (``scheduler:lock``);
-2. forecasts each candidate policy's round seconds from the frontier
-   size, the incidence-degree sum, and the worklist size
-   (:meth:`~repro.engine.policy.PropagationPolicy.round_cost`);
-3. picks the cheaper of :data:`~repro.engine.policy.DENSE` and
-   :data:`~repro.engine.policy.FRONTIER` (ties break toward dense),
-   records a :class:`PolicyDecision`, and emits a ``scheduler:pick``
-   counter event.
+   and the frontier shape is locked in (``scheduler:lock``);
+2. forecasts each shape's round seconds from the frontier size, the
+   incidence-degree sum, and the worklist size
+   (:func:`dense_round_cost`, :func:`frontier_round_cost`);
+3. picks the cheaper shape (ties break toward dense), records a
+   :class:`PolicyDecision`, and emits a ``scheduler:pick`` counter
+   event.
 
 Determinism: every input of a decision is *backend- and
 tracer-invariant*.  The running launch/bandwidth tallies are fed by
 :meth:`note_launches` (per-launch latency and explicit drain blocks —
 never the backend-swept compaction traffic) and :meth:`account_round`
-(counter deltas captured around ``run_round`` only, whose charges contain
-no backend-swept component), and the scan charge itself bypasses the
-backend sweep.  Decisions therefore replay bit-identically across the
-``dense``/``frontier`` backends and traced/untraced runs — golden-tested
-in ``tests/test_policy_scheduler.py``.
+(counter deltas captured around the round function only, whose charges
+contain no backend-swept component), and the scan charge itself bypasses
+the backend sweep.  Decisions therefore replay bit-identically across
+the ``dense``/``frontier`` backends and traced/untraced runs —
+golden-tested in ``tests/test_policy_scheduler.py``.
 
 Fault tolerance: recovery re-propagation after a restore always forces
-the frontier policy without scanning or updating the tallies (the
+the frontier shape without scanning or updating the tallies (the
 recovery frontier is the regressed-signature set, for which the frontier
-policy is the only sound shape at that cost), and the decision is
+round is the only sound shape at that cost), and the decision is
 flagged ``recovery=True`` so golden comparisons can exclude it; the
 scheduler's tallies and decision log are checkpointed
 (:meth:`state_snapshot` / :meth:`restore_state`) so a crash-restore
@@ -48,23 +48,33 @@ import numpy as np
 
 from ..device.costmodel import (
     BLOCK_DISPATCH_NS,
+    STREAM_EFF,
     cost_terms,
+    effective_bandwidth,
     working_set_of_graph,
 )
 from ..device.spec import DeviceSpec
 from ..trace import NULL_TRACER, Tracer
-from .accounting import charge_scheduler_scan
-from .policy import DENSE, FRONTIER, PropagationPolicy, RoundStats
+from .accounting import (
+    ADJACENCY_EDGE_BYTES,
+    PAIR_FLAG_BYTES,
+    SIGNATURE_PAIR_BYTES,
+    STATUS_FLAG_BYTES,
+    charge_scheduler_scan,
+)
 
 __all__ = [
     "AdaptiveScheduler",
     "PolicyDecision",
+    "RoundStats",
+    "dense_round_cost",
+    "frontier_round_cost",
     "DENSITY_THRESHOLD",
     "LAUNCH_BOUND_RATIO",
 ]
 
 #: frontier-degree-mass / worklist-size ratio below which the frontier
-#: policy's forecast beats the dense sweep's on the shipped byte
+#: round's forecast beats the dense sweep's on the shipped byte
 #: conventions (the closed form is derived in
 #: ``docs/performance_model.md``: dense moves ~101.3 m/B seconds,
 #: frontier ~133.3 D/B, so frontier wins while D/m < 101.3/133.3).  The
@@ -76,9 +86,79 @@ DENSITY_THRESHOLD = 0.76
 #: once launch latency accounts for this fraction of the run's modelled
 #: propagation seconds, the run is launch-overhead-bound: round shape no
 #: longer moves the total, so the scheduler stops paying for density
-#: scans and locks the frontier policy (smallest traffic, and the drain
+#: scans and locks the frontier shape (smallest traffic, and the drain
 #: structure already amortizes its launches).
 LAUNCH_BOUND_RATIO = 0.5
+
+
+@dataclass(frozen=True)
+class RoundStats:
+    """Backend-invariant inputs of one scheduling decision.
+
+    ``degree_sum`` is the incidence-degree sum over the frontier (out-
+    plus in-degree, a self-loop counted twice); it counts an edge under
+    both endpoints, so it overcounts the unique incident edges a
+    frontier round actually gathers by at most 2x — a deliberate
+    conservative bias toward the dense shape (documented in
+    ``docs/performance_model.md``).
+    """
+
+    frontier_size: int
+    degree_sum: int
+    worklist_edges: int
+    touched: int
+    num_vertices: int
+    compress: bool
+
+    @property
+    def density(self) -> float:
+        """Frontier-incident degree mass relative to the worklist size."""
+        return self.degree_sum / max(1, self.worklist_edges)
+
+    @property
+    def avg_degree(self) -> float:
+        return self.degree_sum / max(1, self.frontier_size)
+
+
+# The two forecasts price a hypothetical round in modelled seconds with
+# the cost model's bandwidth arithmetic (``effective_bandwidth``,
+# ``STREAM_EFF``) on the byte conventions the round's charge helper
+# applies, so the scheduler's forecasts and the profiler's attributions
+# share one vocabulary.  Next-frontier enqueue atomics are identical
+# across shapes (same changed set) and are left out of the comparison.
+
+def dense_round_cost(
+    stats: RoundStats, spec: DeviceSpec, working_set_bytes: float
+) -> float:
+    """Forecast of one dense round (every worklist edge)."""
+    bw_irr = effective_bandwidth(spec, working_set_bytes)
+    bw_str = spec.mem_bw_gbs * 1e9 * STREAM_EFF
+    m = stats.worklist_edges
+    seconds = m * ADJACENCY_EDGE_BYTES / bw_irr + m * PAIR_FLAG_BYTES / bw_str
+    if stats.compress:
+        seconds += (
+            (stats.num_vertices + stats.touched) * SIGNATURE_PAIR_BYTES / bw_irr
+        )
+    return seconds
+
+
+def frontier_round_cost(
+    stats: RoundStats, spec: DeviceSpec, working_set_bytes: float
+) -> float:
+    """Forecast of one frontier round (the frontier-incident edges)."""
+    bw_irr = effective_bandwidth(spec, working_set_bytes)
+    bw_str = spec.mem_bw_gbs * 1e9 * STREAM_EFF
+    # unique incident edges never exceed the worklist, however large
+    # the (double-counting) degree sum gets
+    edges = min(stats.degree_sum, stats.worklist_edges)
+    seconds = (
+        edges * (ADJACENCY_EDGE_BYTES + PAIR_FLAG_BYTES) / bw_irr
+        + stats.frontier_size * STATUS_FLAG_BYTES / bw_str
+    )
+    if stats.compress:
+        # compression work is 2 * |[s; d]| = 4 * edges touched
+        seconds += 4 * edges * SIGNATURE_PAIR_BYTES / bw_irr
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -116,7 +196,7 @@ class PolicyDecision:
 
 
 class AdaptiveScheduler:
-    """Per-round policy selection from frontier statistics and tallies."""
+    """Per-round shape selection from frontier statistics and tallies."""
 
     def __init__(
         self,
@@ -162,7 +242,7 @@ class AdaptiveScheduler:
         """Tally the bandwidth seconds of one finished round.
 
         *before*/*after* are counter snapshots captured around the
-        policy's ``run_round`` — round charges are in-kernel work with no
+        round function — round charges are in-kernel work with no
         backend-swept component, so the deltas (and hence the tallies and
         every later decision) are identical across backends.
         """
@@ -188,8 +268,9 @@ class AdaptiveScheduler:
         outer: int,
         round_no: int,
         recovery: bool = False,
-    ) -> PropagationPolicy:
-        """Pick the policy for one round; charge and record the decision.
+    ) -> str:
+        """Pick one round's shape, ``"dense"`` or ``"frontier"``; charge
+        and record the decision.
 
         *degree* is each vertex's out- plus in-degree in the worklist (a
         self-loop counted twice), built once per drain; the density
@@ -197,84 +278,62 @@ class AdaptiveScheduler:
         modelled scan still reads the frontier vertices' bucket offsets
         and is charged for them
         (:func:`~repro.engine.accounting.charge_scheduler_scan`).
+        Recovery and locked decisions skip the scan and take the
+        frontier shape with ``degree_sum`` 0.
         """
-        if recovery:
-            decision = PolicyDecision(
-                outer=outer,
-                round=round_no,
-                policy="frontier",
-                frontier_size=int(frontier.size),
-                degree_sum=0,
-                density=0.0,
-                avg_degree=0.0,
-                launch_ratio=self.launch_ratio,
-                scanned=False,
-                recovery=True,
-            )
-            picked = FRONTIER
-        elif (
-            # lock only on *evidence*: before the first accounted round
-            # the tallies are launch-only and the ratio is degenerately
-            # 1.0 — that must not suppress the scan on bandwidth-bound
-            # graphs whose very first round is the most expensive one
-            self._round_s > 0.0
+        # lock only on *evidence*: before the first accounted round the
+        # tallies are launch-only and the ratio is degenerately 1.0 —
+        # that must not suppress the scan on bandwidth-bound graphs
+        # whose very first round is the most expensive one
+        locked = (
+            not recovery
+            and self._round_s > 0.0
             and self.launch_ratio >= LAUNCH_BOUND_RATIO
-        ):
+        )
+        scanned = not (recovery or locked)
+        degree_sum = 0
+        if locked:
             # launch-overhead-bound: round shape cannot move the total;
-            # skip the scan and lock the cheapest-traffic policy.
-            self.tracer.counter(
-                "scheduler:lock", outer=outer, round=round_no
-            )
-            decision = PolicyDecision(
-                outer=outer,
-                round=round_no,
-                policy="frontier",
-                frontier_size=int(frontier.size),
-                degree_sum=0,
-                density=0.0,
-                avg_degree=0.0,
-                launch_ratio=self.launch_ratio,
-                scanned=False,
-            )
-            picked = FRONTIER
-        else:
+            # skip the scan and lock the cheapest-traffic shape.
+            self.tracer.counter("scheduler:lock", outer=outer, round=round_no)
+        elif scanned:
             degree_sum = int(degree[frontier].sum())
             charge_scheduler_scan(dev, frontier_size=frontier.size)
-            stats = RoundStats(
-                frontier_size=int(frontier.size),
-                degree_sum=degree_sum,
-                worklist_edges=int(worklist_edges),
-                touched=int(touched),
-                num_vertices=int(num_vertices),
-                compress=compress,
-            )
-            picked = min(
-                (DENSE, FRONTIER),
-                key=lambda p: p.round_cost(
-                    stats, self.spec, self.working_set
-                ),
-            )
-            decision = PolicyDecision(
-                outer=outer,
-                round=round_no,
-                policy=picked.name,
-                frontier_size=stats.frontier_size,
-                degree_sum=stats.degree_sum,
-                density=stats.density,
-                avg_degree=stats.avg_degree,
-                launch_ratio=self.launch_ratio,
-                scanned=True,
-            )
+        stats = RoundStats(
+            frontier_size=int(frontier.size),
+            degree_sum=degree_sum,
+            worklist_edges=int(worklist_edges),
+            touched=int(touched),
+            num_vertices=int(num_vertices),
+            compress=compress,
+        )
+        policy = "frontier"
+        if scanned and dense_round_cost(
+            stats, self.spec, self.working_set
+        ) <= frontier_round_cost(stats, self.spec, self.working_set):
+            policy = "dense"
+        decision = PolicyDecision(
+            outer=outer,
+            round=round_no,
+            policy=policy,
+            frontier_size=stats.frontier_size,
+            degree_sum=degree_sum,
+            density=stats.density,
+            avg_degree=stats.avg_degree,
+            launch_ratio=self.launch_ratio,
+            scanned=scanned,
+            recovery=recovery,
+        )
         self.decisions.append(decision)
         self.tracer.counter(
             "scheduler:pick",
-            policy=decision.policy,
+            policy=policy,
             outer=outer,
             round=round_no,
             frontier=decision.frontier_size,
             recovery=recovery,
         )
-        return picked
+        return policy
 
     # -- checkpoint integration ----------------------------------------
     def state_snapshot(self) -> "dict[str, object]":

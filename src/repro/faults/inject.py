@@ -150,11 +150,6 @@ class FaultInjector:
                 **{k: v for k, v in detail.items() if np.isscalar(v)},
             )
 
-    @property
-    def cluster_fault_budget(self) -> int:
-        """Remaining cluster fault budget (bounds the extra BSP rounds)."""
-        return self._cluster_budget
-
     # ------------------------------------------------------------------
     # engine seams (ECL-SCC outer loop)
     # ------------------------------------------------------------------

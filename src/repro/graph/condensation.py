@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphValidationError
-from ..types import VERTEX_DTYPE, as_vertex_array, ragged_arange
+from ..types import VERTEX_DTYPE, as_vertex_array
 from .csr import CSRGraph
 
 __all__ = ["condense", "compact_labels", "dag_depth", "topological_levels"]
@@ -81,18 +81,9 @@ def topological_levels(dag: CSRGraph) -> np.ndarray:
     indeg = dag.in_degree().copy()
     frontier = np.flatnonzero(indeg == 0).astype(VERTEX_DTYPE)
     processed = frontier.size
-    indptr, indices = dag.indptr, dag.indices
     while frontier.size:
         # gather all out-edges of the frontier
-        starts = indptr[frontier]
-        stops = indptr[frontier + 1]
-        counts = stops - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # flat indices of the frontier's adjacency slices
-        offsets = np.repeat(starts, counts) + ragged_arange(counts)
-        heads = indices[offsets]
+        heads, counts = dag.successors(frontier)
         tails_level = np.repeat(level[frontier], counts)
         # successors' level = max over incoming frontier edges of level+1
         np.maximum.at(level, heads, tails_level + 1)

@@ -24,14 +24,37 @@ Design notes
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import GraphFormatError
-from ..types import INDPTR_DTYPE, VERTEX_DTYPE, as_indptr_array, as_vertex_array
+from ..types import (
+    INDPTR_DTYPE,
+    VERTEX_DTYPE,
+    as_indptr_array,
+    as_vertex_array,
+    ragged_arange,
+)
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "vertex_count"]
+
+
+def vertex_count(value: int, name: str = "num_vertices") -> int:
+    """*value* as a vertex count: an integer >= 0.
+
+    Read with ``operator.index``, so ``2.7`` or ``"3"`` raise
+    :class:`~repro.errors.GraphFormatError` instead of being truncated
+    or parsed.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise GraphFormatError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise GraphFormatError(f"{name} must be >= 0, got {n}")
+    return n
 
 
 class CSRGraph:
@@ -92,10 +115,8 @@ class CSRGraph:
                 f"src and dst must have equal length, got {s.size} and {d.size}"
             )
         if num_vertices is None:
-            num_vertices = int(max(s.max(initial=-1), d.max(initial=-1)) + 1)
-        n = int(num_vertices)
-        if n < 0:
-            raise GraphFormatError(f"num_vertices must be >= 0, got {n}")
+            num_vertices = max(s.max(initial=-1), d.max(initial=-1)) + 1
+        n = vertex_count(num_vertices)
         if n > np.iinfo(INDPTR_DTYPE).max:
             raise GraphFormatError(f"num_vertices {n} does not fit {INDPTR_DTYPE}")
         if s.size:
@@ -115,9 +136,7 @@ class CSRGraph:
     @classmethod
     def empty(cls, num_vertices: int = 0, *, name: str = "") -> "CSRGraph":
         """Graph with *num_vertices* vertices and no edges."""
-        n = int(num_vertices)
-        if n < 0:
-            raise GraphFormatError(f"num_vertices must be >= 0, got {n}")
+        n = vertex_count(num_vertices)
         return cls(
             np.zeros(n + 1, dtype=INDPTR_DTYPE),
             np.empty(0, dtype=VERTEX_DTYPE),
@@ -181,6 +200,21 @@ class CSRGraph:
         if not 0 <= v < self.num_vertices:
             raise IndexError(f"vertex {v} out of range [0, {self.num_vertices})")
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def successors(
+        self, vertices: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Out-neighbours of *vertices* (with multiplicity) and their counts.
+
+        Returns ``(heads, counts)``: ``counts[i]`` is the out-degree of
+        ``vertices[i]`` and ``heads`` lists the vertices' adjacency
+        slices in order, so ``np.repeat(vertices, counts)`` are the
+        matching tails.
+        """
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        offsets = np.repeat(starts, counts) + ragged_arange(counts)
+        return self.indices[offsets], counts
 
     # ------------------------------------------------------------------
     # derived forms (cached)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..types import VERTEX_DTYPE, ragged_arange
+from ..types import VERTEX_DTYPE
 from .csr import CSRGraph
 
 __all__ = [
@@ -70,14 +70,8 @@ def bfs_reach(graph: CSRGraph, sources: np.ndarray, *, mask: "np.ndarray | None"
         sources = sources[mask[sources]]
     visited[sources] = True
     frontier = np.unique(sources)
-    indptr, indices = graph.indptr, graph.indices
     while frontier.size:
-        counts = indptr[frontier + 1] - indptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
-        nxt = indices[offsets]
+        nxt, _ = graph.successors(frontier)
         if mask is not None:
             nxt = nxt[mask[nxt]]
         nxt = nxt[~visited[nxt]]
@@ -93,14 +87,9 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
     level[source] = 0
     frontier = np.asarray([source], dtype=VERTEX_DTYPE)
     depth = 0
-    indptr, indices = graph.indptr, graph.indices
     while frontier.size:
         depth += 1
-        counts = indptr[frontier + 1] - indptr[frontier]
-        if int(counts.sum()) == 0:
-            break
-        offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
-        nxt = indices[offsets]
+        nxt, _ = graph.successors(frontier)
         nxt = nxt[level[nxt] < 0]
         frontier = np.unique(nxt)
         level[frontier] = depth

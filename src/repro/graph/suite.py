@@ -59,10 +59,6 @@ class PowerLawSpec:
     max_din: int
     max_dout: int
 
-    @property
-    def giant_fraction(self) -> float:
-        return self.largest_scc / self.vertices
-
 
 #: Table 3 of the paper, verbatim.
 POWER_LAW_SPECS: "tuple[PowerLawSpec, ...]" = (

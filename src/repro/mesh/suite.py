@@ -59,10 +59,6 @@ class MeshGroupSpec:
     #: min DAG depth, max DAG depth)
     paper_sccs: "tuple[int, int, int, int, int, int]"
 
-    def elements_for(self, n: int) -> int:
-        """Element count the builder produces at resolution n (approx)."""
-        return self.builder(max(n, 1)).num_elements  # pragma: no cover
-
 
 @dataclass
 class MeshGroup:

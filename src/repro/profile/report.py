@@ -50,12 +50,6 @@ class ProfileReport:
         return sum(ph.total for ph in self.phases)
 
     @property
-    def unattributed_seconds(self) -> float:
-        """Residual vs the device total (float rounding on a complete
-        ledger; larger when parts of the run were not ledgered)."""
-        return self.device_seconds - self.attributed_seconds
-
-    @property
     def binding(self) -> str:
         """Whole-run classification: the dominant resource across phases."""
         totals = {t: 0.0 for t in TERM_NAMES}

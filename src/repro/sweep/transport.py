@@ -73,12 +73,6 @@ class TransportSolution:
     schedule_depths: "list[int]"
     scc_detect_model_seconds: float
 
-    @property
-    def total_nontrivial_sccs(self) -> int:
-        return sum(
-            n for n in self.num_sccs_per_ordinate
-        )  # pragma: no cover - convenience
-
 
 def solve_transport(
     problem: TransportProblem,

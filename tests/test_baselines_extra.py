@@ -51,11 +51,6 @@ class TestMultistep:
             labels = multistep_scc(g).labels
             assert np.array_equal(labels, tarjan_scc(g).labels), g
 
-    def test_without_trim2(self, random_graphs):
-        for g in random_graphs[:4]:
-            labels = multistep_scc(g, use_trim2=False).labels
-            assert np.array_equal(labels, tarjan_scc(g).labels)
-
     def test_powerlaw(self):
         g, _ = build_powerlaw("soc-LiveJournal1", scale=1 / 256, seed=0)
         labels = multistep_scc(g).labels

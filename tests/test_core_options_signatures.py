@@ -52,10 +52,6 @@ class TestOptions:
         assert o.outer_bound(1000) == 5
         assert o.rounds_bound(1000) == 7
 
-    def test_invalid_block_edges(self):
-        with pytest.raises(AlgorithmError):
-            EclOptions(block_edges=0)
-
     def test_invalid_bounds(self):
         with pytest.raises(AlgorithmError):
             EclOptions(max_rounds=-1)

@@ -65,7 +65,7 @@ class TestAlgorithmGuards:
 
     def test_options_reject_nonsense(self):
         with pytest.raises(AlgorithmError):
-            EclOptions(block_edges=-3)
+            EclOptions(max_outer_iterations=-3)
 
 
 class TestFaultPayloads:

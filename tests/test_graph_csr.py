@@ -58,6 +58,20 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             CSRGraph.empty(-1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CSRGraph.from_edges([0], [1], 2.7),
+            lambda: CSRGraph.empty(1.5),
+            lambda: CSRGraph.empty("3"),
+        ],
+        ids=["from_edges-float", "empty-float", "empty-str"],
+    )
+    def test_vertex_count_must_be_an_integer(self, build):
+        """A count is read, never truncated (2.7 -> 2) or parsed ("3")."""
+        with pytest.raises(GraphFormatError, match="must be an integer"):
+            build()
+
     def test_direct_validation_indptr_monotone(self):
         with pytest.raises(GraphFormatError, match="nondecreasing"):
             CSRGraph(np.array([0, 2, 1]), np.array([0, 1]))

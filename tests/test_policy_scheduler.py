@@ -1,34 +1,39 @@
-"""Propagation policies, adaptive scheduler, and decision-log determinism.
+"""Round shapes, adaptive scheduler, and decision-log determinism.
 
-The PR-7 contract under test: Phase-2 propagation is a per-round policy
-choice (``repro.engine.policy``), the adaptive scheduler picks the
-policy each round from backend-invariant statistics
+The contract under test: each Phase-2 drain round is a dense or a
+frontier round (``repro.core.propagation``), the adaptive scheduler
+picks the shape each round from backend-invariant statistics
 (``repro.engine.scheduler``), labels stay bit-identical to the dense
-engine for *any* policy schedule, and the decision log replays exactly
-across backends, under monotone fault plans, and through
+engine for *any* sequence of shapes, and the decision log replays
+exactly across backends, under monotone fault plans, and through
 checkpoint/restore.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import solve
 from repro.baselines import tarjan_scc
-from repro.core import EclOptions, Signatures, ecl_scc
-from repro.core.propagation import EdgeGrouping
+from repro.core import EclOptions, Signatures, VertexFrontier, ecl_scc
+from repro.core.propagation import EdgeGrouping, dense_round, frontier_round
 from repro.device.executor import VirtualDevice
 from repro.device.spec import A100
-from repro.engine.policy import DENSE, FRONTIER, RoundState, RoundStats
 from repro.engine.scheduler import (
     DENSITY_THRESHOLD,
     LAUNCH_BOUND_RATIO,
     AdaptiveScheduler,
     PolicyDecision,
+    RoundStats,
+    dense_round_cost,
+    frontier_round_cost,
 )
 from repro.errors import AlgorithmError
 from repro.faults import FaultPlan
-from repro.graph import CSRGraph, cycle_graph, random_gnm, scc_ladder
+from repro.graph import cycle_graph, random_gnm, scc_ladder
 from repro.trace import Tracer
+
+from .test_relax import multigraphs
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +41,10 @@ from repro.trace import Tracer
 # ---------------------------------------------------------------------------
 
 class TestPolicyRegistry:
-    """Round-cost forecasts of the two shipped policies."""
+    """Round-cost forecasts of the two round shapes."""
 
     def test_round_cost_orders_by_density(self):
-        """Sparse frontiers favor the frontier policy, saturated ones the
+        """Sparse frontiers favor the frontier round, saturated ones the
         dense sweep — the closed form behind DENSITY_THRESHOLD."""
         ws = 1e9  # out of cache, both sides on raw DRAM bandwidth
         sparse = RoundStats(frontier_size=4, degree_sum=16,
@@ -48,64 +53,52 @@ class TestPolicyRegistry:
         saturated = RoundStats(frontier_size=5_000, degree_sum=20_000,
                                worklist_edges=10_000, touched=8_000,
                                num_vertices=5_000, compress=False)
-        assert FRONTIER.round_cost(sparse, A100, ws) < \
-            DENSE.round_cost(sparse, A100, ws)
-        assert DENSE.round_cost(saturated, A100, ws) < \
-            FRONTIER.round_cost(saturated, A100, ws)
+        assert frontier_round_cost(sparse, A100, ws) < \
+            dense_round_cost(sparse, A100, ws)
+        assert dense_round_cost(saturated, A100, ws) < \
+            frontier_round_cost(saturated, A100, ws)
         assert 0.0 < DENSITY_THRESHOLD < 1.0
 
 
 # ---------------------------------------------------------------------------
-# fixed-point schedule independence (any per-round policy mix)
+# fixed-point schedule independence (any per-round mix of shapes)
 # ---------------------------------------------------------------------------
 
-def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
-    """Drive raw policy rounds to a fixed point; return the signatures.
+def _drain(n, src, dst, schedule, compress):
+    """Drive raw drain rounds to a fixed point; return the signatures.
 
-    *schedule* maps the round number to a policy — the adversarial
-    version of what the adaptive scheduler does.
+    *schedule* maps the round number to a round function — the
+    adversarial version of what the adaptive scheduler does.
     """
-    n = graph.num_vertices
-    src, dst = graph.edges()
     sigs = Signatures.identity(n)
     grouping = EdgeGrouping.build(src, dst)
+    frontier = VertexFrontier.seeded(np.arange(n), n)
     dev = VirtualDevice(A100)
-    state = RoundState(
-        sigs=sigs, grouping=grouping,
-        frontier=np.arange(n, dtype=np.int64),
-        frontier_mask=np.ones(n, dtype=bool), num_vertices=n,
-        compress=compress,
-    )
-    for rounds in range(3 * n + 16):
-        if not state.frontier.size:
-            break
-        changed_v = schedule(rounds).run_round(state, dev)
-        state.frontier = np.flatnonzero(changed_v)
-        state.frontier_mask = changed_v
-    else:
-        pytest.fail("no fixed point within the round bound")
-    return state.sigs
+    for r in range(3 * n + 16):
+        if not frontier.size:
+            return sigs
+        run_round = schedule(r)
+        frontier.advance(run_round(sigs, grouping, frontier, dev, n, compress))
+    pytest.fail("no fixed point within the round bound")
 
 
 @pytest.mark.parametrize("compress", (False, True))
-def test_any_policy_schedule_reaches_same_fixed_point(compress):
-    """dense / frontier / alternating mixes all converge to bit-identical
-    signatures — the monotone-join argument the adaptive engine's label
-    guarantee rests on."""
-    schedules = {
-        "all-dense": lambda r: DENSE,
-        "all-frontier": lambda r: FRONTIER,
-        "alternating": lambda r: (DENSE, FRONTIER)[r % 2],
-    }
-    for g in (cycle_graph(17), scc_ladder(6), random_gnm(60, 240, seed=2)):
-        ref = None
-        for name, schedule in schedules.items():
-            sigs = _run_policy_schedule(g, schedule, compress=compress)
-            if ref is None:
-                ref = sigs
-            else:
-                assert np.array_equal(sigs.sig_in, ref.sig_in), name
-                assert np.array_equal(sigs.sig_out, ref.sig_out), name
+@given(graph=multigraphs(), shapes=st.lists(st.booleans(), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_any_policy_schedule_reaches_same_fixed_point(compress, graph, shapes):
+    """A drawn, repeating per-round sequence of dense and frontier rounds
+    converges to the all-dense drain's signatures on multigraphs with
+    self-loops and parallel edges — the monotone-join argument the
+    adaptive engine's label guarantee rests on."""
+    n, src, dst = graph
+    ref = _drain(n, src, dst, lambda r: dense_round, compress)
+    mixed = _drain(
+        n, src, dst,
+        lambda r: dense_round if shapes[r % len(shapes)] else frontier_round,
+        compress,
+    )
+    assert np.array_equal(mixed.sig_in, ref.sig_in)
+    assert np.array_equal(mixed.sig_out, ref.sig_out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ class TestSchedulerUnit:
         n = sched.num_vertices
         return sched.decide(
             dev, frontier=frontier,
-            degree=np.zeros(n, dtype=np.int64),
+            degree=np.ones(n, dtype=np.int64),
             worklist_edges=4, touched=4, num_vertices=n, compress=False,
             outer=1, round_no=round_no, recovery=recovery,
         )
@@ -201,18 +194,22 @@ class TestSchedulerUnit:
         sched._round_s = 1e-9  # tiny accounted round: ratio ~ 1.0
         assert sched.launch_ratio >= LAUNCH_BOUND_RATIO
         dev = VirtualDevice(A100)
-        decision = self._decide(sched, dev, frontier=np.array([0]))
-        assert decision.name == "frontier"
+        shape = self._decide(sched, dev, frontier=np.array([0]))
+        assert shape == "frontier"
         assert not sched.decisions[-1].scanned
 
     def test_recovery_forces_frontier_without_tally_update(self):
         sched = AdaptiveScheduler(A100, num_vertices=4, num_edges=4)
         dev = VirtualDevice(A100)
         before = (sched._launch_s, sched._round_s)
-        d = self._decide(sched, dev, frontier=np.array([0, 1]), recovery=True)
-        assert d.name == "frontier"
+        shape = self._decide(
+            sched, dev, frontier=np.array([0, 1]), recovery=True
+        )
+        assert shape == "frontier"
         rec = sched.decisions[-1]
-        assert rec.recovery and not rec.scanned
+        assert rec.recovery and rec.scanned is False
+        assert rec.degree_sum == 0
+        assert rec.density == rec.avg_degree == 0.0
         assert (sched._launch_s, sched._round_s) == before
 
     def test_account_round_is_snapshot_delta_based(self):
@@ -281,6 +278,30 @@ GOLDEN_FLICKR_DECISIONS = (
     + [(2, 1, "frontier", True), (2, 2, "frontier", True)]
 )
 
+#: the first five flickr decisions in full: a scanned dense opener, a
+#: locked frontier round (no scan: zero degree mass), then scanned dense
+#: rounds while the frontier saturates.
+GOLDEN_FLICKR_HEAD = [
+    {"outer": 1, "round": 1, "policy": "dense", "frontier_size": 25651,
+     "degree_sum": 615986, "density": 2.0, "avg_degree": 24.01411251023352,
+     "launch_ratio": 1.0, "scanned": True, "recovery": False},
+    {"outer": 1, "round": 2, "policy": "frontier", "frontier_size": 25535,
+     "degree_sum": 0, "density": 0.0, "avg_degree": 0.0,
+     "launch_ratio": 0.5839020572164442, "scanned": False, "recovery": False},
+    {"outer": 1, "round": 3, "policy": "dense", "frontier_size": 22579,
+     "degree_sum": 533446, "density": 1.7320068962606292,
+     "avg_degree": 23.625758448115505, "launch_ratio": 0.33085971813688075,
+     "scanned": True, "recovery": False},
+    {"outer": 1, "round": 4, "policy": "dense", "frontier_size": 13011,
+     "degree_sum": 267584, "density": 0.868798966210271,
+     "avg_degree": 20.56598263008224, "launch_ratio": 0.275973058087542,
+     "scanned": True, "recovery": False},
+    {"outer": 1, "round": 5, "policy": "dense", "frontier_size": 21796,
+     "degree_sum": 523429, "density": 1.6994834298182102,
+     "avg_degree": 24.014910992842722, "launch_ratio": 0.23240306222304072,
+     "scanned": True, "recovery": False},
+]
+
 #: compact golden for toroid-hex:o0 (289 decisions): the dense opener,
 #: the per-policy totals, and the scan/lock split.
 GOLDEN_TOROID_SUMMARY = {
@@ -300,6 +321,17 @@ class TestDecisionDeterminism:
                 g, "ecl-scc", device=A100, engine="adaptive", backend=backend
             )
             logs[backend] = _decision_key(res.decision_log)
+            head = [d.to_dict() for d in res.decision_log[:5]]
+            # floats to 1e-9 relative, as the bench gates compare them
+            assert head == [
+                {k: pytest.approx(v, rel=1e-9, abs=0.0)
+                 if isinstance(v, float) else v for k, v in d.items()}
+                for d in GOLDEN_FLICKR_HEAD
+            ]
+            for d in head:
+                assert [type(v) for v in d.values()] == [
+                    type(v) for v in GOLDEN_FLICKR_HEAD[0].values()
+                ]
         assert logs["dense"] == GOLDEN_FLICKR_DECISIONS
         assert logs["frontier"] == GOLDEN_FLICKR_DECISIONS
 
@@ -339,7 +371,9 @@ class TestDecisionDeterminism:
             recoveries = [d for d in faulted.decision_log if d.recovery]
             if faulted.fault_report.faults_injected:
                 assert all(
-                    d.policy == "frontier" and not d.scanned
+                    d.policy == "frontier" and d.scanned is False
+                    and d.degree_sum == 0
+                    and d.density == d.avg_degree == 0.0
                     for d in recoveries
                 )
 

@@ -222,9 +222,8 @@ def feedback(self, vertices: "np.ndarray | None" = None) -> bool:
 
 
 @st.composite
-def cases(draw):
-    """A multigraph, signatures with ``sig[v] >= v``, an edge subset and
-    mask, and the compression flag."""
+def multigraphs(draw):
+    """``(n, src, dst)``: a multigraph with self-loops and parallel edges."""
     n = draw(st.integers(1, 10))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
@@ -233,6 +232,14 @@ def cases(draw):
         edges += draw(st.lists(st.sampled_from(edges), max_size=6))
     src = np.array([u for u, _ in edges], dtype=np.int64)
     dst = np.array([v for _, v in edges], dtype=np.int64)
+    return n, src, dst
+
+
+@st.composite
+def cases(draw):
+    """A multigraph, signatures with ``sig[v] >= v``, an edge subset and
+    mask, and the compression flag."""
+    n, src, dst = draw(multigraphs())
     m = src.size
     sig = []
     for _ in range(2):
